@@ -92,30 +92,41 @@ def is_umbrella_free(g: Graph, sigma: Ordering) -> CheckReport:
     return CheckReport(PASS)
 
 
-def is_lbfs_ordering(g: Graph, sigma: Ordering) -> CheckReport:
-    """4-Point Condition: every bad triple (x, y, z) admits a private
-    neighbour of y over z strictly left of x."""
-    _require_cover(g, sigma)
+def _first_unwitnessed_triple(
+    g: Graph, sigma: Ordering, adjacent_to_x: bool
+) -> Optional[BadTriple]:
+    """First bad triple (x, y, z), by positions, with no w left of x that
+    is adjacent to y and not to z (and, with ``adjacent_to_x``, also
+    adjacent to x)."""
     n = g.n
     seq = sigma.seq
     nbpos = _neighbour_position_masks(g, sigma)
     for i in range(n):
         x = seq[i]
-        below = (1 << i) - 1
-        ys = ~nbpos[x] & (-1 << (i + 1)) & ((1 << n) - 1)
         nx = nbpos[x]
+        left = (nx if adjacent_to_x else -1) & ((1 << i) - 1)
+        ys = ~nx & (-1 << (i + 1)) & ((1 << n) - 1)
         while ys:
             j = _lowest_bit_index(ys)
             ys &= ys - 1
             y = seq[j]
+            ny_left = nbpos[y] & left
             zs = nx & (-1 << (j + 1))
             while zs:
                 k = _lowest_bit_index(zs)
                 zs &= zs - 1
                 z = seq[k]
-                if not (nbpos[y] & ~nbpos[z] & below):
-                    return CheckReport(FAIL, BadTriple(x, y, z))
-    return CheckReport(PASS)
+                if not (ny_left & ~nbpos[z]):
+                    return BadTriple(x, y, z)
+    return None
+
+
+def is_lbfs_ordering(g: Graph, sigma: Ordering) -> CheckReport:
+    """4-Point Condition: every bad triple (x, y, z) admits a private
+    neighbour of y over z strictly left of x."""
+    _require_cover(g, sigma)
+    bad = _first_unwitnessed_triple(g, sigma, adjacent_to_x=False)
+    return CheckReport(PASS) if bad is None else CheckReport(FAIL, bad)
 
 
 def check_flip_pair(g: Graph, sigma: Ordering, tau: Ordering) -> CheckReport:
@@ -149,27 +160,9 @@ def check_c4_property(g: Graph, sigma: Ordering) -> CheckReport:
     pre = is_lbfs_ordering(g, sigma)
     if not pre:
         return CheckReport(NOT_APPLICABLE, ("lbfs-ordering", pre.witness))
-    n = g.n
-    seq = sigma.seq
-    nbpos = _neighbour_position_masks(g, sigma)
-    for i in range(n):
-        x = seq[i]
-        below = (1 << i) - 1
-        ys = ~nbpos[x] & (-1 << (i + 1)) & ((1 << n) - 1)
-        nx = nbpos[x]
-        while ys:
-            j = _lowest_bit_index(ys)
-            ys &= ys - 1
-            y = seq[j]
-            zs = nx & (-1 << (j + 1))
-            while zs:
-                k = _lowest_bit_index(zs)
-                zs &= zs - 1
-                z = seq[k]
-                # w left of x, adjacent to x and y, not to z
-                if not (nx & nbpos[y] & ~nbpos[z] & below):
-                    return CheckReport(FAIL, BadTriple(x, y, z))
-    return CheckReport(PASS)
+    # w left of x, adjacent to x and y, not to z
+    bad = _first_unwitnessed_triple(g, sigma, adjacent_to_x=True)
+    return CheckReport(PASS) if bad is None else CheckReport(FAIL, bad)
 
 
 def replay_bad_triple(

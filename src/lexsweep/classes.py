@@ -301,17 +301,19 @@ class PosetSpec:
 
     def __post_init__(self) -> None:
         rel = self.relation
+        succ: Dict[int, Set[int]] = {}
         for a, b in rel:
             if a == b:
                 raise GraphError(f"irreflexivity violated: ({a}, {b})")
             if (b, a) in rel:
                 raise GraphError(f"acyclicity violated: ({a}, {b}) and ({b}, {a})")
+            succ.setdefault(a, set()).add(b)
+        # transitive iff a < b implies succ(b) is a subset of succ(a)
         for a, b in rel:
-            for c, d in rel:
-                if b == c and (a, d) not in rel:
-                    raise GraphError(
-                        f"transitivity violated: ({a}, {b}), ({c}, {d})"
-                    )
+            later = succ.get(b)
+            if later and not later <= succ[a]:
+                d = min(later - succ[a])
+                raise GraphError(f"transitivity violated: ({a}, {b}), ({b}, {d})")
 
 
 @dataclass(frozen=True)

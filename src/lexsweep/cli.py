@@ -7,6 +7,7 @@ Per-instance seeds are derived as master seed + instance index.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -375,7 +376,10 @@ def cmd_recognize(args) -> int:
     return EXIT_PASS
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process; safe to share because parsing leaves the
+    # parser unchanged and no argument has a mutable default.
     parser = argparse.ArgumentParser(
         prog="lexsweep",
         description="Multi-sweep LBFS toolkit: generators, orbit dynamics, "

@@ -82,7 +82,7 @@ def from_edge_list_text(text: str) -> Graph:
     head = rows[0].split()
     if len(head) != 2:
         raise FormatError(f"expected header 'n m', got {rows[0]!r}")
-    n, m = int(head[0]), int(head[1])
+    n, m = _int_pair(head, rows[0])
     if len(rows) - 1 != m:
         raise FormatError(f"expected {m} edge lines, found {len(rows) - 1}")
     edges: List[Tuple[int, int]] = []
@@ -90,5 +90,12 @@ def from_edge_list_text(text: str) -> Graph:
         parts = row.split()
         if len(parts) != 2:
             raise FormatError(f"malformed edge line: {row!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        edges.append(_int_pair(parts, row))
     return Graph(n, edges)
+
+
+def _int_pair(parts: List[str], row: str) -> Tuple[int, int]:
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError:
+        raise FormatError(f"non-integer token in line {row!r}") from None

@@ -2,10 +2,11 @@
 terminal cycle, and compute the maximum terminal-cycle length exactly or
 by sampling.
 
-The map is evaluated by a compact integer-label engine with a per-call
-memo table; it computes exactly the same orderings as `search.lbfs_plus`
-(tested equivalence) but with far lower per-sweep overhead, which is
-what makes exhaustive n! enumeration affordable.
+The map is evaluated by `SweepEngine`, a memo table over the one
+partition-refinement LBFS of `search` (the C kernel on large graphs).
+Orbits revisit orderings, and exhaustive n! enumeration reaches the same
+sweep from many starts, so each distinct sweep is computed once per
+engine.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .certify import CheckReport, is_umbrella_free, NOT_APPLICABLE, PASS, FAIL
 from .graph import Graph
-from .search import MIN_INDEX, Ordering, OrderingError, lbfs
+from .search import MIN_INDEX, Ordering, OrderingError, _refine, lbfs
 
 EXACT_MAX_N = 8
 
@@ -36,69 +37,30 @@ class OrbitBudgetError(RuntimeError):
 
 
 class SweepEngine:
-    """Memoized evaluator of the LBFS+ map over raw ordering tuples.
+    """The LBFS+ map over raw ordering tuples, memoized per graph.
 
-    Labels are maintained as integers in base n+1 (stamps are 1..n-1, so
-    right-padding with zeros makes integer comparison agree with
-    lexicographic label comparison).
+    ``step(prior)`` equals ``lbfs_plus(g, Ordering(prior)).seq`` and runs
+    the same partition refinement, without building an `Ordering`. Every
+    computed sweep stays in ``cache``, keyed by its prior tuple.
     """
 
     def __init__(self, g: Graph) -> None:
-        n = g.n
-        self.n = n
-        self.masks = [0] * n
-        for v in range(n):
-            m = 0
-            for w in g.neighbors(v):
-                m |= 1 << w
-            self.masks[v] = m
-        base = n + 1
-        self.base = base
-        self.pows = [base**k for k in range(n + 1)]
+        self.g = g
         self.cache: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
 
     def step(self, prior: Tuple[int, ...]) -> Tuple[int, ...]:
         out = self.cache.get(prior)
         if out is None:
-            out = self._sweep(prior)
+            if prior:
+                # ties go to the vertex rightmost in prior
+                prio = [0] * len(prior)
+                for i, v in enumerate(reversed(prior)):
+                    prio[v] = i
+                out = tuple(_refine(self.g, prior[-1], prio))
+            else:
+                out = ()
             self.cache[prior] = out
         return out
-
-    def _sweep(self, prior: Tuple[int, ...]) -> Tuple[int, ...]:
-        n = self.n
-        if n == 0:
-            return ()
-        rank = [0] * n
-        for i, v in enumerate(prior):
-            rank[v] = i
-        base = self.base
-        pows = self.pows
-        masks = self.masks
-        label = [0] * n
-        llen = [0] * n
-        remaining = set(range(n))
-        out: List[int] = []
-        u = prior[-1]
-        for step in range(1, n + 1):
-            if step > 1:
-                # maximal padded label, ties to the rightmost in prior
-                best = -1
-                bkey = -1
-                for v in remaining:
-                    key = label[v] * pows[n - llen[v]] * n + rank[v]
-                    if key > bkey:
-                        bkey = key
-                        best = v
-                u = best
-            remaining.discard(u)
-            out.append(u)
-            stamp = n - step
-            mu = masks[u]
-            for v in remaining:
-                if (mu >> v) & 1:
-                    label[v] = label[v] * base + stamp
-                    llen[v] += 1
-        return tuple(out)
 
 
 @dataclass(frozen=True)

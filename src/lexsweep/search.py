@@ -1,10 +1,11 @@
-"""LBFS engines and tie-breaking.
+"""LBFS and tie-breaking.
 
-Two engines share one output contract: a partition-refinement engine
-(`lbfs`, linear-time up to tie-break scans) and a literal label-list
-engine (`lbfs_naive`) kept as the oracle. `lbfs_plus` is the
-rightmost-in-prior tie-breaking wrapper. On large graphs `lbfs` runs a
-C port of the refinement (`_lbfs_kernel.c`), compiled on first use.
+There is one LBFS engine, an ordered partition refinement (`lbfs`,
+linear-time up to tie-break scans). `_refine` runs it as a C port
+(`_lbfs_kernel.c`, compiled on first use) on large graphs and as
+`_lbfs_core` otherwise; `lbfs`, `lbfs_plus` and `lexcycle.SweepEngine`
+all go through it. `lbfs_naive` is a literal label-list LBFS kept as the
+oracle. `lbfs_plus` is the rightmost-in-prior tie-breaking wrapper.
 
 Every tie-break mode reduces to a static priority permutation: within a
 set of tied vertices the one with the smallest priority value wins.
@@ -123,9 +124,10 @@ def _priority(tb: TieBreak, n: int) -> List[int]:
 
 
 def _lbfs_core(adj: Sequence[Sequence[int]], n: int, start: int, prio: Sequence[int]):
-    # Ordered partition refinement over the array `arr`. Unnumbered
-    # vertices occupy arr[p:], tiled by classes in label order; visiting
-    # u splits each class into neighbours-first / non-neighbours.
+    # Ordered partition refinement over the array `arr`. Numbered vertices
+    # occupy arr[:p] in visit order; unnumbered ones occupy arr[p:], tiled
+    # by classes in label order. Visiting u splits each class into
+    # neighbours-first / non-neighbours.
     arr = list(range(n))
     loc = list(range(n))
     if start != 0:
@@ -133,40 +135,47 @@ def _lbfs_core(adj: Sequence[Sequence[int]], n: int, start: int, prio: Sequence[
         loc[0], loc[start] = loc[start], loc[0]
     cls = [1] * n
     cls[start] = 0
-    cstart = [0, 1]
-    cend = [1, n]
-    out = []
-    for p in range(n):
-        head = cls[arr[p]]
-        # select the minimum-priority vertex of the head class
+    # Each split adds a non-empty class and each step empties at most one,
+    # so at most n + 1 classes are ever created.
+    cstart = [0] * (n + 2)
+    cend = [0] * (n + 2)
+    moved = [0] * (n + 2)
+    cstart[1] = 1
+    cend[0] = 1
+    cend[1] = n
+    nc = 2
+    # the last vertex is forced, and visiting it refines nothing
+    for p in range(n - 1):
         u = arr[p]
-        bp = prio[u]
-        bi = p
-        for i in range(p + 1, cend[head]):
-            v = arr[i]
-            if prio[v] < bp:
-                u = v
-                bp = prio[v]
-                bi = i
-        if bi != p:
-            arr[bi] = arr[p]
-            loc[arr[bi]] = bi
-            arr[p] = u
-            loc[u] = p
+        head = cls[u]
+        end = cend[head]
+        if end - p > 1:
+            # select the minimum-priority vertex of the head class
+            bp = prio[u]
+            bi = p
+            for i in range(p + 1, end):
+                v = arr[i]
+                if prio[v] < bp:
+                    u = v
+                    bp = prio[v]
+                    bi = i
+            if bi != p:
+                x = arr[p]
+                arr[bi] = x
+                loc[x] = bi
+                arr[p] = u
+                loc[u] = p
         cstart[head] = p + 1
-        out.append(u)
-        moved = {}
         touched = []
         for w in adj[u]:
-            if loc[w] <= p:
+            i = loc[w]
+            if i <= p:
                 continue
             c = cls[w]
-            mv = moved.get(c)
-            if mv is None:
-                mv = 0
+            mv = moved[c]
+            if not mv:
                 touched.append(c)
             j = cstart[c] + mv
-            i = loc[w]
             if i != j:
                 x = arr[j]
                 arr[j] = w
@@ -176,29 +185,34 @@ def _lbfs_core(adj: Sequence[Sequence[int]], n: int, start: int, prio: Sequence[
             moved[c] = mv + 1
         for c in touched:
             mv = moved[c]
+            moved[c] = 0
             if mv < cend[c] - cstart[c]:
-                nc = len(cstart)
                 ns = cstart[c]
                 ne = ns + mv
-                cstart.append(ns)
-                cend.append(ne)
+                cstart[nc] = ns
+                cend[nc] = ne
                 for idx in range(ns, ne):
                     cls[arr[idx]] = nc
                 cstart[c] = ne
-    return out
+                nc += 1
+    return arr
+
+
+def _refine(g: Graph, start: int, prio: Sequence[int]) -> List[int]:
+    """The one LBFS refinement: the C kernel on large graphs, else `_lbfs_core`."""
+    if g.n + g.m >= _BIG_GRAPH_THRESHOLD:
+        kernel, reason = _kernel()
+        if kernel is not None:
+            return _lbfs_c(kernel, g, start, prio)
+        _warn_fallback(reason)
+    return _lbfs_core(g.adj, g.n, start, prio)
 
 
 def lbfs(g: Graph, start: int, tb: TieBreak = MIN_INDEX) -> Ordering:
     """Partition-refinement LBFS from ``start`` with tie-break ``tb``."""
     if not (0 <= start < g.n):
         raise GraphError(f"start vertex out of range: {start}")
-    prio = _priority(tb, g.n)
-    if g.n + g.m >= _BIG_GRAPH_THRESHOLD:
-        kernel, reason = _kernel()
-        if kernel is not None:
-            return Ordering(_lbfs_c(kernel, g, start, prio))
-        _warn_fallback(reason)
-    return Ordering(_lbfs_core(g.adj, g.n, start, prio))
+    return Ordering(_refine(g, start, _priority(tb, g.n)))
 
 
 def lbfs_naive(g: Graph, start: int, tb: TieBreak = MIN_INDEX) -> Ordering:
@@ -354,7 +368,7 @@ def _warn_fallback(reason: str) -> None:
     warnings.warn(
         f"large graph runs on the pure-Python LBFS core: {reason}",
         RuntimeWarning,
-        stacklevel=3,
+        stacklevel=4,
     )
 
 

@@ -195,6 +195,18 @@ class TestGenerators:
         s = gen_poset_cocomp(10, 0.3, 42)
         assert s.poset is not None  # PosetSpec validates in __post_init__
 
+    def test_poset_rejects_reflexive_pair(self):
+        with pytest.raises(GraphError, match="irreflexivity"):
+            classes.PosetSpec(2, frozenset({(0, 1), (1, 1)}))
+
+    def test_poset_rejects_cycle(self):
+        with pytest.raises(GraphError, match="acyclicity"):
+            classes.PosetSpec(2, frozenset({(0, 1), (1, 0)}))
+
+    def test_poset_rejects_open_chain(self):
+        with pytest.raises(GraphError, match=r"transitivity violated: \(0, 1\), \(1, 2\)"):
+            classes.PosetSpec(4, frozenset({(0, 1), (1, 2), (1, 3), (0, 3)}))
+
     def test_poset_deterministic(self):
         assert gen_poset_cocomp(10, 0.3, 42) == gen_poset_cocomp(10, 0.3, 42)
 

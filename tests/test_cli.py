@@ -142,6 +142,16 @@ class TestCheckTheorem:
         assert agg["pass"] == 5 and agg["fail"] == 0
         assert agg["config"]["seed"] == 7
 
+    def test_repeated_calls_do_not_share_arguments(self, capsys):
+        # the parser is built once per process; appended --p values must
+        # not carry over from one call to the next
+        base = ["check-theorem", "--class", "cocomp", "--count", "1", "--n", "4"]
+        for ps in (["0.3", "0.4"], ["0.6"]):
+            argv = base + [a for p in ps for a in ("--p", p)]
+            code, out, _ = run(capsys, argv)
+            assert code == 0
+            assert records(out)[-1]["config"]["p"] == [float(p) for p in ps]
+
     def test_failure_record_replays(self, capsys):
         # force replayability check on whatever instances come out
         code, out, _ = run(

@@ -76,3 +76,7 @@ class TestEdgeListText:
             from_edge_list_text("2 1\n")
         with pytest.raises(FormatError):
             from_edge_list_text("2 1\n0 1 2\n")
+        with pytest.raises(FormatError):
+            from_edge_list_text("2 1\n0 x\n")
+        with pytest.raises(FormatError):
+            from_edge_list_text("2 one\n0 1\n")

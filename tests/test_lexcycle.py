@@ -7,12 +7,14 @@ from lexsweep import (
     Graph,
     Ordering,
     OrbitBudgetError,
+    PriorRightmost,
     SizeGuardError,
     SweepEngine,
     detect_orbit,
     gen_interval,
     gen_poset_cocomp,
     is_umbrella_free,
+    lbfs_naive,
     lbfs_plus,
     lexcycle_exact,
     lexcycle_sampled,
@@ -24,14 +26,18 @@ from conftest import all_graphs, complete, cycle, path, random_graph
 
 
 class TestSweepEngine:
-    def test_matches_lbfs_plus(self, rng):
-        for _ in range(200):
-            g = random_graph(rng.randrange(1, 20), rng.random(), rng)
+    def test_matches_naive_oracle(self, rng):
+        assert SweepEngine(Graph(0)).step(()) == ()
+        for t in range(200):
+            n = 1 if t == 0 else rng.randrange(1, 20)
+            g = random_graph(n, rng.random(), rng)
             eng = SweepEngine(g)
             perm = list(range(g.n))
             rng.shuffle(perm)
             prior = Ordering(perm)
-            assert eng.step(prior.seq) == lbfs_plus(g, prior).seq
+            expect = lbfs_naive(g, prior.last(), PriorRightmost(prior)).seq
+            assert eng.step(prior.seq) == expect
+            assert eng.cache[prior.seq] == expect
 
 
 class TestSweepSequence:

@@ -3,6 +3,7 @@ import random
 import shutil
 import subprocess
 import sys
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from lexsweep import (
     OrderingError,
     PriorRightmost,
     Seeded,
+    SweepEngine,
     is_lbfs_ordering,
     lbfs,
     lbfs_naive,
@@ -101,10 +103,18 @@ class TestLbfsPlus:
 
 class TestEngineEquivalence:
     def test_exhaustive_small(self):
+        # Under PriorRightmost each prior starts at its own last vertex:
+        # over all priors that is every start with every tie-break order
+        # of the other vertices.
         for n in range(1, 6):
             for g in all_graphs(n):
                 for s in range(n):
-                    assert lbfs(g, s) == lbfs_naive(g, s)
+                    for tb in (MIN_INDEX, Seeded(s)):
+                        assert lbfs(g, s, tb) == lbfs_naive(g, s, tb)
+                for perm in permutations(range(n)):
+                    prior = Ordering(perm)
+                    tb = PriorRightmost(prior)
+                    assert lbfs(g, prior.last(), tb) == lbfs_naive(g, prior.last(), tb)
 
     def test_random_all_tiebreaks(self, rng):
         for t in range(300):
@@ -129,6 +139,9 @@ class TestEngineEquivalence:
             rng.shuffle(perm)
             for tb in (MIN_INDEX, PriorRightmost(Ordering(perm)), Seeded(t)):
                 assert lbfs(g, s, tb) == lbfs_naive(g, s, tb)
+            # LBFS+ sweeps of the lexcycle engine take the same path
+            plus = lbfs_naive(g, perm[-1], PriorRightmost(Ordering(perm)))
+            assert SweepEngine(g).step(tuple(perm)) == plus.seq
 
     # a compiler that is missing, and one that exists but cannot build
     @pytest.mark.parametrize(
