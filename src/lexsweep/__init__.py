@@ -2,8 +2,8 @@
 
 Graph search engines (LBFS, LBFS+), vertex-ordering certificates,
 terminal-cycle (orbit) analysis of repeated LBFS+ sweeps, and
-cocomparability graph-class machinery with generators and brute-force
-oracles.
+cocomparability graph-class machinery with generators and an exact
+oracle.
 """
 
 __version__ = "0.1.0"

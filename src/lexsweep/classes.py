@@ -1,24 +1,23 @@
 """Graph-class machinery: recognition, forbidden patterns, generators.
 
 Cocomparability recognition follows the repeated-sweep route (a graph is
-cocomparability iff some of the first n+1 sweeps is umbrella-free); two
-brute-force oracles over the characterization back it up at small sizes.
-Generators emit graphs together with a provenance witness.
+cocomparability iff some of the first n+1 sweeps is umbrella-free).
+`cocomp_oracle` is the exact polynomial test it is checked against:
+Gallai's implication classes on the complement (Golumbic, ch. 5).
+`_oracle_orderings`, a backtracking search for an umbrella-free ordering,
+is the brute-force reference for small graphs. Generators emit graphs
+together with a provenance witness.
 """
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .certify import is_umbrella_free
 from .graph import Graph, GraphError, complement, find_induced, girth, Embedding
-from .lexcycle import SizeGuardError, SweepEngine
+from .lexcycle import SweepEngine
 from .search import MIN_INDEX, Ordering, lbfs
-
-ORDERING_ORACLE_MAX_N = 9
-ORIENTATION_ORACLE_MAX_EDGES = 20
 
 TAG_COCOMP = "cocomparability"
 TAG_P2P3BAR_FREE = "p2p3bar-free"
@@ -37,8 +36,6 @@ ALL_TAGS = frozenset(
         TAG_THEOREM,
     }
 )
-
-PATTERN_NAMES = ("p2p3bar", "diamond", "c4", "domino", "triangle")
 
 
 class GenerationExhausted(RuntimeError):
@@ -119,18 +116,21 @@ def named(name: str, k: Optional[int] = None) -> Graph:
     raise GraphError(f"unknown catalog name: {name!r}")
 
 
+# Graphs are immutable, so each pattern is built once and shared.
+_PATTERNS = {
+    "p2p3bar": p2p3bar(),
+    "diamond": diamond(),
+    "c4": _cycle(4),
+    "domino": domino(),
+    "triangle": _complete(3),
+}
+
+
 def pattern_graph(which: str) -> Graph:
-    if which == "p2p3bar":
-        return p2p3bar()
-    if which == "diamond":
-        return diamond()
-    if which == "c4":
-        return _cycle(4)
-    if which == "domino":
-        return domino()
-    if which == "triangle":
-        return _complete(3)
-    raise GraphError(f"unknown pattern name: {which!r}")
+    try:
+        return _PATTERNS[which]
+    except KeyError:
+        raise GraphError(f"unknown pattern name: {which!r}") from None
 
 
 # -- recognition -------------------------------------------------------------
@@ -153,6 +153,30 @@ def is_cocomparability(g: Graph) -> Tuple[bool, Optional[Ordering]]:
             return True, sigma
         cur = eng.step(cur)
     return False, None
+
+
+def _random_cocomp_starts(
+    g: Graph, count: int, rng: random.Random
+) -> List[Ordering]:
+    """Cocomparability orderings found as umbrella-free sweeps from random
+    starts; requires g to be a cocomparability graph."""
+    eng = SweepEngine(g)
+    found: List[Ordering] = []
+    attempts = 0
+    while len(found) < count:
+        attempts += 1
+        if attempts > 20 * count + 20:
+            raise RuntimeError("could not find umbrella-free sweeps")
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        cur = tuple(perm)
+        for _ in range(g.n + 2):
+            cur = eng.step(cur)
+            sigma = Ordering(cur)
+            if is_umbrella_free(g, sigma):
+                found.append(sigma)
+                break
+    return found
 
 
 def _oracle_orderings(g: Graph) -> bool:
@@ -201,59 +225,47 @@ def _oracle_orderings(g: Graph) -> bool:
     return extend()
 
 
-def _oracle_orientations(g: Graph) -> bool:
-    """Backtracking over transitive orientations of the complement."""
-    cbar = complement(g)
-    edges = list(cbar.edges())
-    cadj = cbar.adjsets
-    n = g.n
-    out = [0] * n  # out[v]: bitmask of w with arc v->w
-    inn = [0] * n
-
-    def consistent(a: int, b: int) -> bool:
-        # new arc a->b; check triples through both endpoints
-        for w in range(n):
-            wb = 1 << b
-            if (inn[a] >> w) & 1:  # w->a->b
-                if b not in cadj[w]:
-                    return False
-                if (inn[w] >> b) & 1:  # assigned b->w
-                    return False
-            if (out[b] >> w) & 1:  # a->b->w
-                if w not in cadj[a]:
-                    return False
-                if (out[w] >> a) & 1:  # assigned w->a
-                    return False
-        return True
-
-    def assign(i: int) -> bool:
-        if i == len(edges):
-            return True
-        u, v = edges[i]
-        for a, b in ((u, v), (v, u)):
-            if consistent(a, b):
-                out[a] |= 1 << b
-                inn[b] |= 1 << a
-                if assign(i + 1):
-                    return True
-                out[a] &= ~(1 << b)
-                inn[b] &= ~(1 << a)
-        return False
-
-    return assign(0)
-
-
 def cocomp_oracle(g: Graph) -> bool:
-    """Brute-force cocomparability decision behind size guards."""
-    cbar_edges = g.n * (g.n - 1) // 2 - g.m
-    if g.n <= ORDERING_ORACLE_MAX_N:
-        return _oracle_orderings(g)
-    if cbar_edges <= ORIENTATION_ORACLE_MAX_EDGES:
-        return _oracle_orientations(g)
-    raise SizeGuardError(
-        f"cocomp_oracle guards: n <= {ORDERING_ORACLE_MAX_N} or complement "
-        f"edges <= {ORIENTATION_ORACLE_MAX_EDGES} (got n={g.n}, "
-        f"complement edges={cbar_edges})"
+    """Exact cocomparability test by Gamma-forcing on the complement.
+
+    g is cocomparability iff its complement H is a comparability graph,
+    and H is one iff no implication class of its arcs holds an arc
+    together with its reverse (Gallai; Golumbic, *Algorithmic Graph
+    Theory and Perfect Graphs*, ch. 5). Whenever bc is an edge of g and a
+    is adjacent to neither b nor c, orienting ab as a->b forces a->c, and
+    b->a forces c->a. Union-find over the arcs of H (a->b is a * n + b)
+    closes that relation into the implication classes: O(n m) unions.
+    """
+    n = g.n
+    masks = [0] * n
+    for v in range(n):
+        for w in g.neighbors(v):
+            masks[v] |= 1 << w
+    parent = list(range(n * n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x: int, y: int) -> None:
+        parent[find(x)] = find(y)
+
+    full = (1 << n) - 1
+    for b, c in g.edges():
+        free = full & ~(masks[b] | masks[c])  # bc is an edge: drops b and c too
+        while free:
+            low = free & -free
+            free ^= low
+            a = low.bit_length() - 1
+            union(a * n + b, a * n + c)
+            union(b * n + a, c * n + a)
+    return all(
+        find(u * n + v) != find(v * n + u)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if not (masks[u] >> v) & 1
     )
 
 

@@ -28,6 +28,7 @@ from .classes import (
     TAG_DIAMOND_FREE,
     TAG_GIRTH_GE_4,
     TAG_THEOREM,
+    _random_cocomp_starts,
     classify,
     gen_interval,
     gen_rejection,
@@ -38,7 +39,6 @@ from .graph import Graph, GraphError
 from .io import FormatError, from_graph6, to_graph6
 from .lexcycle import (
     SizeGuardError,
-    SweepEngine,
     lexcycle_exact,
     lexcycle_sampled,
     theorem_check,
@@ -181,30 +181,6 @@ def cmd_lexcycle(args) -> int:
             sys.stdout,
         )
     return status
-
-
-def _random_cocomp_starts(
-    g: Graph, count: int, rng: random.Random
-) -> List[Ordering]:
-    """Cocomparability orderings found as umbrella-free sweeps from random
-    starts; requires g to be a cocomparability graph."""
-    eng = SweepEngine(g)
-    found: List[Ordering] = []
-    attempts = 0
-    while len(found) < count:
-        attempts += 1
-        if attempts > 20 * count + 20:
-            raise RuntimeError("could not find umbrella-free sweeps")
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        cur = tuple(perm)
-        for _ in range(g.n + 2):
-            cur = eng.step(cur)
-            sigma = Ordering(cur)
-            if is_umbrella_free(g, sigma):
-                found.append(sigma)
-                break
-    return found
 
 
 def _theorem_instance(params) -> dict:

@@ -16,7 +16,7 @@ from itertools import permutations
 from math import factorial
 from typing import Dict, List, Optional, Tuple
 
-from .certify import CheckReport, is_umbrella_free, NOT_APPLICABLE, PASS, FAIL
+from .certify import is_umbrella_free, NOT_APPLICABLE, PASS, FAIL
 from .graph import Graph
 from .search import MIN_INDEX, Ordering, OrderingError, _refine, lbfs
 

@@ -22,11 +22,10 @@ import subprocess
 import sysconfig
 import tempfile
 import warnings
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Union
-
-import numpy as np
 
 from .graph import Graph, GraphError
 
@@ -323,8 +322,8 @@ def _kernel():
     except OSError as exc:
         return None, f"the C kernel could not be built or loaded: {exc}"
     fn = lib.lbfs_refine
-    i64 = np.ctypeslib.ndpointer(dtype=np.int64, ndim=1, flags="C_CONTIGUOUS")
-    fn.argtypes = [ctypes.py_object, ctypes.c_int64, i64, i64]
+    # prio and out are int64 buffers: array("q") addresses, see _lbfs_c
+    fn.argtypes = [ctypes.py_object, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
     fn.restype = ctypes.c_int
     return fn, None
 
@@ -373,8 +372,11 @@ def _warn_fallback(reason: str) -> None:
 
 
 def _lbfs_c(kernel, g: Graph, start: int, prio: Sequence[int]) -> List[int]:
-    out = np.empty(g.n, dtype=np.int64)
-    rc = kernel(g.adj, start, np.asarray(prio, dtype=np.int64), out)
+    prio_buf = array("q", prio)
+    if len(prio_buf) != g.n:  # the kernel reads n entries
+        raise ValueError(f"priority covers {len(prio_buf)} vertices, graph has {g.n}")
+    out = array("q", [0]) * g.n
+    rc = kernel(g.adj, start, prio_buf.buffer_info()[0], out.buffer_info()[0])
     if rc != 0:
         raise MemoryError(f"C kernel could not allocate its work arrays (n={g.n})")
     return out.tolist()

@@ -36,7 +36,7 @@ from lexsweep import (
     pattern_free,
     theorem_check,
 )
-from lexsweep.cli import _random_cocomp_starts
+from lexsweep.classes import _random_cocomp_starts
 
 from conftest import all_graphs, complete, random_graph
 

@@ -6,7 +6,6 @@ from lexsweep import (
     Graph,
     GraphError,
     GenerationExhausted,
-    SizeGuardError,
     classify,
     cocomp_oracle,
     complement,
@@ -116,9 +115,15 @@ class TestRecognition:
             assert is_cocomparability(g)[0] == cocomp_oracle(g)
 
     def test_oracles_agree_with_each_other(self, rng):
-        for _ in range(150):
-            g = random_graph(rng.randrange(0, 8), rng.random(), rng)
-            assert classes._oracle_orderings(g) == classes._oracle_orientations(g)
+        # the Gamma-forcing oracle against the brute-force ordering search
+        graphs = [g for n in range(7) for g in all_graphs(n)]
+        graphs += [random_graph(rng.randrange(7, 10), rng.random(), rng) for _ in range(200)]
+        verdicts = set()
+        for g in graphs:
+            verdict = cocomp_oracle(g)
+            assert classes._oracle_orderings(g) == verdict, g.adj
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
     def test_witness_is_umbrella_free(self, rng):
         for _ in range(100):
@@ -127,9 +132,13 @@ class TestRecognition:
             if verdict:
                 assert is_umbrella_free(g, witness).ok
 
-    def test_size_guard(self):
-        with pytest.raises(SizeGuardError):
-            cocomp_oracle(Graph(12))  # complement has 66 edges
+    def test_oracle_has_no_size_guard(self):
+        assert cocomp_oracle(Graph(12))  # complement K12 has 66 edges
+        for seed in range(3):
+            assert cocomp_oracle(gen_poset_cocomp(60, 0.2, seed).graph)
+            assert cocomp_oracle(gen_interval(60, seed).graph)
+        c5_plus_isolated = Graph(60, cycle(5).edges())
+        assert not cocomp_oracle(c5_plus_isolated)
 
 
 class TestPatterns:
@@ -188,8 +197,7 @@ class TestGenerators:
             s = gen_poset_cocomp(rng.randrange(0, 14), rng.random(), seed=t)
             if s.graph.n:
                 assert is_umbrella_free(s.graph, s.witness_ordering).ok
-            if s.graph.n <= 9:
-                assert cocomp_oracle(s.graph)
+            assert cocomp_oracle(s.graph)
 
     def test_poset_relation_is_valid(self):
         s = gen_poset_cocomp(10, 0.3, 42)
