@@ -3,7 +3,7 @@ terminal cycle, and compute the maximum terminal-cycle length exactly or
 by sampling.
 
 The map is evaluated by `SweepEngine`, a memo table over the one
-partition-refinement LBFS of `search` (the C kernel on large graphs).
+partition-refinement LBFS of `search` (the C kernel whenever it builds).
 Orbits revisit orderings, and exhaustive n! enumeration reaches the same
 sweep from many starts, so each distinct sweep is computed once per
 engine.
@@ -13,12 +13,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import permutations
-from math import factorial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .certify import is_umbrella_free, NOT_APPLICABLE, PASS, FAIL
 from .graph import Graph
-from .search import MIN_INDEX, Ordering, OrderingError, _refine, lbfs
+from .search import (
+    MIN_INDEX, Ordering, OrderingError, _refine, _rightmost_priority, lbfs,
+)
 
 EXACT_MAX_N = 8
 
@@ -52,11 +53,7 @@ class SweepEngine:
         out = self.cache.get(prior)
         if out is None:
             if prior:
-                # ties go to the vertex rightmost in prior
-                prio = [0] * len(prior)
-                for i, v in enumerate(reversed(prior)):
-                    prio[v] = i
-                out = tuple(_refine(self.g, prior[-1], prio))
+                out = tuple(_refine(self.g, prior[-1], _rightmost_priority(prior)))
             else:
                 out = ()
             self.cache[prior] = out
@@ -149,6 +146,28 @@ def _terminal_period(
     return period
 
 
+def _max_period(
+    g: Graph, starts: Iterable[Tuple[int, ...]], mode: str
+) -> LexCycleEstimate:
+    eng = SweepEngine(g)
+    memo: Dict[Tuple[int, ...], int] = {}
+    best = 0
+    argmax: Optional[Tuple[int, ...]] = None
+    examined = 0
+    for start in starts:
+        examined += 1
+        period = _terminal_period(eng, start, memo)
+        if period > best:
+            best = period
+            argmax = start
+    return LexCycleEstimate(
+        value=best,
+        mode=mode,
+        starts_examined=examined,
+        argmax_start=None if argmax is None else Ordering(argmax),
+    )
+
+
 def lexcycle_exact(g: Graph) -> LexCycleEstimate:
     """Maximum terminal-cycle length over all n! initial orderings."""
     n = g.n
@@ -157,21 +176,7 @@ def lexcycle_exact(g: Graph) -> LexCycleEstimate:
             f"lexcycle_exact is guarded at n <= {EXACT_MAX_N} (got {n}); "
             "use lexcycle_sampled"
         )
-    eng = SweepEngine(g)
-    memo: Dict[Tuple[int, ...], int] = {}
-    best = 0
-    argmax: Optional[Tuple[int, ...]] = None
-    for perm in permutations(range(n)):
-        period = _terminal_period(eng, perm, memo)
-        if period > best:
-            best = period
-            argmax = perm
-    return LexCycleEstimate(
-        value=best,
-        mode="exact",
-        starts_examined=factorial(n),
-        argmax_start=None if argmax is None else Ordering(argmax),
-    )
+    return _max_period(g, permutations(range(n)), "exact")
 
 
 def lexcycle_sampled(g: Graph, trials: int, seed: int) -> LexCycleEstimate:
@@ -188,24 +193,7 @@ def lexcycle_sampled(g: Graph, trials: int, seed: int) -> LexCycleEstimate:
         starts.append(tuple(perm))
     for v in range(n):
         starts.append(lbfs(g, v, MIN_INDEX).seq)
-    eng = SweepEngine(g)
-    memo: Dict[Tuple[int, ...], int] = {}
-    best = 0
-    argmax: Optional[Tuple[int, ...]] = None
-    for start in starts:
-        period = _terminal_period(eng, start, memo)
-        if period > best:
-            best = period
-            argmax = start
-    if n == 0:
-        best = max(best, _terminal_period(eng, (), memo))
-        argmax = ()
-    return LexCycleEstimate(
-        value=best,
-        mode="sampled",
-        starts_examined=len(starts),
-        argmax_start=None if argmax is None else Ordering(argmax),
-    )
+    return _max_period(g, starts, "sampled")
 
 
 @dataclass(frozen=True)

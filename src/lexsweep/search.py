@@ -2,9 +2,9 @@
 
 There is one LBFS engine, an ordered partition refinement (`lbfs`,
 linear-time up to tie-break scans). `_refine` runs it as a C port
-(`_lbfs_kernel.c`, compiled on first use) on large graphs and as
-`_lbfs_core` otherwise; `lbfs`, `lbfs_plus` and `lexcycle.SweepEngine`
-all go through it. `lbfs_naive` is a literal label-list LBFS kept as the
+(`_lbfs_kernel.c`, compiled on first use) whenever that builds, else as
+`_lbfs_core`; `lbfs`, `lbfs_plus` and `lexcycle.SweepEngine` all go
+through it. `lbfs_naive` is a literal label-list LBFS kept as the
 oracle. `lbfs_plus` is the rightmost-in-prior tie-breaking wrapper.
 
 Every tie-break mode reduces to a static priority permutation: within a
@@ -113,13 +113,20 @@ def _priority(tb: TieBreak, n: int) -> List[int]:
             raise OrderingError(
                 f"prior ordering covers {len(tb.prior)} vertices, graph has {n}"
             )
-        pos = tb.prior.pos
-        return [n - 1 - pos[v] for v in range(n)]
+        return _rightmost_priority(tb.prior.seq)
     if isinstance(tb, Seeded):
         prio = list(range(n))
         random.Random(tb.seed).shuffle(prio)
         return prio
     raise TypeError(f"unknown tie-break: {tb!r}")
+
+
+def _rightmost_priority(prior: Sequence[int]) -> List[int]:
+    # the LBFS+ tie-break: prio[v] = n - 1 - (position of v in prior)
+    prio = [0] * len(prior)
+    for i, v in enumerate(reversed(prior)):
+        prio[v] = i
+    return prio
 
 
 def _lbfs_core(adj: Sequence[Sequence[int]], n: int, start: int, prio: Sequence[int]):
@@ -198,19 +205,19 @@ def _lbfs_core(adj: Sequence[Sequence[int]], n: int, start: int, prio: Sequence[
 
 
 def _refine(g: Graph, start: int, prio: Sequence[int]) -> List[int]:
-    """The one LBFS refinement: the C kernel on large graphs, else `_lbfs_core`."""
-    if g.n + g.m >= _BIG_GRAPH_THRESHOLD:
-        kernel, reason = _kernel()
-        if kernel is not None:
-            return _lbfs_c(kernel, g, start, prio)
-        _warn_fallback(reason)
+    """The one LBFS refinement: the C kernel whenever it loads, else
+    `_lbfs_core`. The kernel indexes by ``start`` unchecked."""
+    if not (0 <= start < g.n):
+        raise GraphError(f"start vertex out of range: {start}")
+    kernel, reason = _kernel()
+    if kernel is not None:
+        return _lbfs_c(kernel, g, start, prio)
+    _warn_fallback(reason)
     return _lbfs_core(g.adj, g.n, start, prio)
 
 
 def lbfs(g: Graph, start: int, tb: TieBreak = MIN_INDEX) -> Ordering:
     """Partition-refinement LBFS from ``start`` with tie-break ``tb``."""
-    if not (0 <= start < g.n):
-        raise GraphError(f"start vertex out of range: {start}")
     return Ordering(_refine(g, start, _priority(tb, g.n)))
 
 
@@ -292,9 +299,8 @@ def lbfs_reachable(g: Graph, sigma: Ordering) -> bool:
     return True
 
 
-# -- compiled kernel for large graphs ----------------------------------------
+# -- compiled kernel ---------------------------------------------------------
 
-_BIG_GRAPH_THRESHOLD = 20000
 _KERNEL_SOURCE = Path(__file__).with_name("_lbfs_kernel.c")
 
 
@@ -365,7 +371,7 @@ def _build_kernel(cc_path: str) -> Path:
 @functools.lru_cache(maxsize=None)
 def _warn_fallback(reason: str) -> None:
     warnings.warn(
-        f"large graph runs on the pure-Python LBFS core: {reason}",
+        f"LBFS runs on the pure-Python core, not the C kernel: {reason}",
         RuntimeWarning,
         stacklevel=4,
     )

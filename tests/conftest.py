@@ -1,9 +1,15 @@
+import os
 import random
+import shutil
 from itertools import combinations
 
 import pytest
 
 from lexsweep import Graph
+
+needs_cc = pytest.mark.skipif(
+    shutil.which(os.environ.get("CC", "cc")) is None, reason="no C compiler"
+)
 
 
 def all_pairs(n):

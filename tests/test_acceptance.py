@@ -3,13 +3,9 @@
 Each test prints a single PASS/FAIL summary line (bypassing capture) so the
 suite's verdicts are visible in plain ``pytest -v`` output.
 """
-import os
 import random
-import shutil
 import time
 from itertools import permutations
-
-import pytest
 
 from lexsweep import (
     Graph,
@@ -38,7 +34,7 @@ from lexsweep import (
 )
 from lexsweep.classes import _random_cocomp_starts
 
-from conftest import all_graphs, complete, random_graph
+from conftest import all_graphs, complete, needs_cc, random_graph
 
 
 def _report(capsys, num, ok, detail):
@@ -257,11 +253,9 @@ def _big_random_graph(n, m, seed):
     return Graph(n, edges)
 
 
-@pytest.mark.skipif(
-    shutil.which(os.environ.get("CC", "cc")) is None, reason="no C compiler"
-)
+@needs_cc
 def test_criterion_8_performance(capsys):
-    # warm the compiled kernel on a graph above the fast-path threshold
+    # warm the compiled kernel (its first use may build it)
     warm = _big_random_graph(4000, 20000, 1)
     lbfs_plus(warm, Ordering(range(warm.n)))
 

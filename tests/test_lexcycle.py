@@ -5,6 +5,7 @@ import pytest
 
 from lexsweep import (
     Graph,
+    GraphError,
     Ordering,
     OrbitBudgetError,
     PriorRightmost,
@@ -38,6 +39,12 @@ class TestSweepEngine:
             expect = lbfs_naive(g, prior.last(), PriorRightmost(prior)).seq
             assert eng.step(prior.seq) == expect
             assert eng.cache[prior.seq] == expect
+
+    def test_start_out_of_range(self):
+        # the sweep starts at the prior's last entry; the C kernel would
+        # index by it unchecked
+        with pytest.raises(GraphError):
+            SweepEngine(path(3)).step((0, 1, -1))
 
 
 class TestSweepSequence:
@@ -133,6 +140,10 @@ class TestLexCycleSampled:
 
     def test_k1(self):
         assert lexcycle_sampled(Graph(1), trials=1, seed=0).value == 1
+
+    def test_empty_graph(self):
+        est = lexcycle_sampled(Graph(0), trials=1, seed=0)
+        assert (est.value, est.argmax_start) == (1, Ordering(()))
 
     def test_interval_graph_value_two(self):
         sample = gen_interval(30, seed=11)

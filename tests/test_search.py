@@ -1,6 +1,5 @@
 import os
 import random
-import shutil
 import subprocess
 import sys
 from itertools import permutations
@@ -26,11 +25,7 @@ from lexsweep import (
 )
 from lexsweep import search
 
-from conftest import all_graphs, complete, cycle, path, random_graph
-
-needs_cc = pytest.mark.skipif(
-    shutil.which(os.environ.get("CC", "cc")) is None, reason="no C compiler"
-)
+from conftest import all_graphs, complete, cycle, needs_cc, path, random_graph
 
 
 class TestOrdering:
@@ -101,6 +96,15 @@ class TestLbfsPlus:
         assert lbfs_plus(Graph(0), Ordering(())).seq == ()
 
 
+def assert_backends_match_oracle(g, s, tb):
+    # `lbfs` runs the C kernel wherever it builds, so the Python core is
+    # called directly as well
+    want = lbfs_naive(g, s, tb)
+    assert lbfs(g, s, tb) == want
+    core = search._lbfs_core(g.adj, g.n, s, search._priority(tb, g.n))
+    assert tuple(core) == want.seq
+
+
 class TestEngineEquivalence:
     def test_exhaustive_small(self):
         # Under PriorRightmost each prior starts at its own last vertex:
@@ -110,11 +114,10 @@ class TestEngineEquivalence:
             for g in all_graphs(n):
                 for s in range(n):
                     for tb in (MIN_INDEX, Seeded(s)):
-                        assert lbfs(g, s, tb) == lbfs_naive(g, s, tb)
+                        assert_backends_match_oracle(g, s, tb)
                 for perm in permutations(range(n)):
                     prior = Ordering(perm)
-                    tb = PriorRightmost(prior)
-                    assert lbfs(g, prior.last(), tb) == lbfs_naive(g, prior.last(), tb)
+                    assert_backends_match_oracle(g, prior.last(), PriorRightmost(prior))
 
     def test_random_all_tiebreaks(self, rng):
         for t in range(300):
@@ -124,33 +127,22 @@ class TestEngineEquivalence:
             perm = list(range(n))
             rng.shuffle(perm)
             for tb in (MIN_INDEX, PriorRightmost(Ordering(perm)), Seeded(t)):
-                assert lbfs(g, s, tb) == lbfs_naive(g, s, tb)
-
-    @needs_cc
-    def test_fast_path_matches(self, rng, monkeypatch):
-        # force the compiled kernel and compare against the oracle
-        monkeypatch.setattr(search, "_BIG_GRAPH_THRESHOLD", 0)
-        assert search.kernel_backend() == "c", search._kernel()[1]
-        for t in range(30):
-            n = 1 if t == 0 else rng.randrange(1, 40)
-            g = random_graph(n, 0.3, rng)
-            s = rng.randrange(n)
-            perm = list(range(n))
-            rng.shuffle(perm)
-            for tb in (MIN_INDEX, PriorRightmost(Ordering(perm)), Seeded(t)):
-                assert lbfs(g, s, tb) == lbfs_naive(g, s, tb)
+                assert_backends_match_oracle(g, s, tb)
             # LBFS+ sweeps of the lexcycle engine take the same path
             plus = lbfs_naive(g, perm[-1], PriorRightmost(Ordering(perm)))
             assert SweepEngine(g).step(tuple(perm)) == plus.seq
+
+    @needs_cc
+    def test_kernel_loads(self):
+        assert search.kernel_backend() == "c", search._kernel()[1]
 
     # a compiler that is missing, and one that exists but cannot build
     @pytest.mark.parametrize(
         "cc", ["no-such-compiler-lexsweep", sys.executable], ids=["missing", "broken"]
     )
     def test_fallback_warns_once(self, rng, monkeypatch, cc):
-        # without a working compiler big graphs still run, on the Python
-        # core, and say so once
-        monkeypatch.setattr(search, "_BIG_GRAPH_THRESHOLD", 0)
+        # without a working compiler LBFS still runs, on the Python core,
+        # and says so once
         monkeypatch.setenv("CC", cc)
         search._kernel.cache_clear()
         search._warn_fallback.cache_clear()
