@@ -4,9 +4,7 @@ Cocomparability recognition follows the repeated-sweep route (a graph is
 cocomparability iff some of the first n+1 sweeps is umbrella-free).
 `cocomp_oracle` is the exact polynomial test it is checked against:
 Gallai's implication classes on the complement (Golumbic, ch. 5).
-`_oracle_orderings`, a backtracking search for an umbrella-free ordering,
-is the brute-force reference for small graphs. Generators emit graphs
-together with a provenance witness.
+Generators emit graphs together with a provenance witness.
 """
 from __future__ import annotations
 
@@ -177,52 +175,6 @@ def _random_cocomp_starts(
                 found.append(sigma)
                 break
     return found
-
-
-def _oracle_orderings(g: Graph) -> bool:
-    """Backtracking over vertex orderings with umbrella-prefix pruning."""
-    n = g.n
-    if n <= 2:
-        return True
-    masks = [0] * n
-    for v in range(n):
-        for w in g.neighbors(v):
-            masks[v] |= 1 << w
-    # before[v]: prefix vertices placed before v that are non-adjacent to v
-    before = [0] * n
-    prefix_mask = 0
-    prefix: List[int] = []
-
-    def extend() -> bool:
-        nonlocal prefix_mask
-        if len(prefix) == n:
-            return True
-        for z in range(n):
-            bit = 1 << z
-            if prefix_mask & bit:
-                continue
-            # violation: some y in prefix with yz non-edge whose earlier
-            # non-neighbours meet N(z)
-            mz = masks[z]
-            ok = True
-            for y in prefix:
-                if (mz >> y) & 1:
-                    continue
-                if before[y] & mz:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            before[z] = prefix_mask & ~mz
-            prefix.append(z)
-            prefix_mask |= bit
-            if extend():
-                return True
-            prefix.pop()
-            prefix_mask &= ~bit
-        return False
-
-    return extend()
 
 
 def cocomp_oracle(g: Graph) -> bool:

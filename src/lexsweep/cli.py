@@ -198,7 +198,16 @@ def _theorem_instance(params) -> dict:
     g = sample.graph
     starts = [sample.witness_ordering]
     if extra > 0:
-        starts.extend(_random_cocomp_starts(g, extra, rng))
+        try:
+            starts.extend(_random_cocomp_starts(g, extra, rng))
+        except RuntimeError as exc:  # no umbrella-free sweep found
+            record.update(
+                graph6=to_graph6(g),
+                verdict="error",
+                error="start-search-exhausted",
+                detail=str(exc),
+            )
+            return record
     verdicts = []
     failures = []
     for pi in starts:

@@ -4,15 +4,17 @@ by sampling.
 
 The map is evaluated by `SweepEngine`, a memo table over the one
 partition-refinement LBFS of `search` (the C kernel whenever it builds).
-Orbits revisit orderings, and exhaustive n! enumeration reaches the same
-sweep from many starts, so each distinct sweep is computed once per
-engine.
+Orbits revisit orderings, and the orbits of many starts merge, so each
+distinct sweep is computed once per engine.
+
+The exact value needs only the LBFS orderings of g as starts, not all n!
+permutations: the orbit of any start pi passes through its image f(pi),
+which is an LBFS ordering, so pi ends in the terminal cycle of f(pi).
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .certify import is_umbrella_free, NOT_APPLICABLE, PASS, FAIL
@@ -21,7 +23,9 @@ from .search import (
     MIN_INDEX, Ordering, OrderingError, _refine, _rightmost_priority, lbfs,
 )
 
-EXACT_MAX_N = 8
+# lexcycle_exact enumerates at most this many LBFS orderings (8!, so every
+# graph with n <= 8 fits)
+_EXACT_MAX_ORDERINGS = 40_320
 
 
 class SizeGuardError(ValueError):
@@ -42,7 +46,8 @@ class SweepEngine:
 
     ``step(prior)`` equals ``lbfs_plus(g, Ordering(prior)).seq`` and runs
     the same partition refinement, without building an `Ordering`. Every
-    computed sweep stays in ``cache``, keyed by its prior tuple.
+    computed sweep stays in ``cache``, keyed by its prior tuple. A prior
+    that is not a permutation of the vertices raises `OrderingError`.
     """
 
     def __init__(self, g: Graph) -> None:
@@ -52,10 +57,15 @@ class SweepEngine:
     def step(self, prior: Tuple[int, ...]) -> Tuple[int, ...]:
         out = self.cache.get(prior)
         if out is None:
-            if prior:
-                out = tuple(_refine(self.g, prior[-1], _rightmost_priority(prior)))
-            else:
-                out = ()
+            n = self.g.n
+            # len/min/max and the sentinel scan run at C speed; min is
+            # checked on its own because a negative entry wraps in prio
+            if len(prior) != n or (n and (min(prior) < 0 or max(prior) >= n)):
+                raise OrderingError(f"not a permutation of 0..{n - 1}: {prior}")
+            prio = _rightmost_priority(prior)
+            if -1 in prio:
+                raise OrderingError(f"not a permutation of 0..{n - 1}: {prior}")
+            out = tuple(_refine(self.g, prior[-1], prio)) if n else ()
             self.cache[prior] = out
         return out
 
@@ -168,15 +178,68 @@ def _max_period(
     )
 
 
-def lexcycle_exact(g: Graph) -> LexCycleEstimate:
-    """Maximum terminal-cycle length over all n! initial orderings."""
+def _lbfs_orderings(g: Graph) -> List[Tuple[int, ...]]:
+    """Every LBFS ordering of g, in lexicographic order.
+
+    A depth-first LBFS that branches on every vertex tied for the largest
+    label, taking ties in ascending vertex order. Labels are ints: the
+    vertex visited at position p sets bit n-1-p in the labels of its
+    neighbours, so comparing ints compares label sequences. Every node of
+    the search tree has a child, so it has at most n nodes per ordering.
+    Raises `SizeGuardError` once there are more than
+    ``_EXACT_MAX_ORDERINGS``.
+    """
     n = g.n
-    if n > EXACT_MAX_N:
-        raise SizeGuardError(
-            f"lexcycle_exact is guarded at n <= {EXACT_MAX_N} (got {n}); "
-            "use lexcycle_sampled"
-        )
-    return _max_period(g, permutations(range(n)), "exact")
+    if n == 0:
+        return [()]
+    adj = g.adj
+    label = [0] * n
+    prefix: List[int] = []
+    out: List[Tuple[int, ...]] = []
+    # frames [unnumbered vertices, those tied for the top label, next tie];
+    # every vertex is tied at the root
+    root = list(range(n))
+    stack = [[root, root, 0]]
+    while stack:
+        frame = stack[-1]
+        free, ties, i = frame
+        bit = 1 << (len(free) - 1)
+        if i:  # undo the previous choice of this frame
+            for w in adj[prefix.pop()]:
+                label[w] -= bit
+        if i == len(ties):
+            stack.pop()
+            continue
+        frame[2] = i + 1
+        v = ties[i]
+        for w in adj[v]:
+            label[w] += bit
+        prefix.append(v)
+        rest = [u for u in free if u != v]
+        if len(rest) <= 1:  # the last vertex is forced
+            if len(out) == _EXACT_MAX_ORDERINGS:
+                raise SizeGuardError(
+                    f"lexcycle_exact is guarded at {_EXACT_MAX_ORDERINGS} "
+                    f"LBFS orderings (8!); this graph on {n} vertices has "
+                    "more; use lexcycle_sampled"
+                )
+            out.append(tuple(prefix + rest))
+            continue
+        top = max([label[u] for u in rest])
+        stack.append([rest, [u for u in rest if label[u] == top], 0])
+    return out
+
+
+def lexcycle_exact(g: Graph) -> LexCycleEstimate:
+    """Maximum terminal-cycle length over all n! initial orderings.
+
+    Only the LBFS orderings of g are walked as starts: any start pi ends in
+    the terminal cycle of its image f(pi), which is an LBFS ordering, so
+    they reach every terminal cycle. ``starts_examined`` counts them, and
+    ``argmax_start`` is the lexicographically first one whose orbit reaches
+    a longest cycle. Raises `SizeGuardError` beyond 40 320 (8!) orderings.
+    """
+    return _max_period(g, _lbfs_orderings(g), "exact")
 
 
 def lexcycle_sampled(g: Graph, trials: int, seed: int) -> LexCycleEstimate:

@@ -122,8 +122,9 @@ def _priority(tb: TieBreak, n: int) -> List[int]:
 
 
 def _rightmost_priority(prior: Sequence[int]) -> List[int]:
-    # the LBFS+ tie-break: prio[v] = n - 1 - (position of v in prior)
-    prio = [0] * len(prior)
+    # the LBFS+ tie-break: prio[v] = n - 1 - (position of v in prior).
+    # Slots of vertices missing from prior stay -1.
+    prio = [-1] * len(prior)
     for i, v in enumerate(reversed(prior)):
         prio[v] = i
     return prio

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from lexsweep import Graph, Ordering, from_graph6, theorem_check, to_graph6
+import lexsweep.cli as cli
 from lexsweep.cli import main
 
 from conftest import complete, cycle, path
@@ -175,6 +176,30 @@ class TestCheckTheorem:
         _, again, _ = run(capsys, argv)
         _, parallel, _ = run(capsys, argv + ["--jobs", "2"])
         assert serial == again == parallel
+
+    def test_failed_start_search_is_one_error_record(self, capsys, monkeypatch):
+        real = cli._random_cocomp_starts
+        calls = []
+
+        def fail_second_call(g, count, rng):
+            calls.append(g)
+            if len(calls) == 2:
+                raise RuntimeError("could not find umbrella-free sweeps")
+            return real(g, count, rng)
+
+        monkeypatch.setattr(cli, "_random_cocomp_starts", fail_second_call)
+        code, out, _ = run(
+            capsys,
+            ["check-theorem", "--class", "cocomp", "--count", "3", "--n", "5",
+             "--seed", "0"],
+        )
+        assert code == 1
+        recs = records(out)
+        assert [r["index"] for r in recs[:-1]] == [0, 1, 2]
+        assert [r["verdict"] for r in recs[:-1]] == ["pass", "error", "pass"]
+        assert recs[1]["error"] == "start-search-exhausted"
+        assert from_graph6(recs[1]["graph6"]) == calls[1]
+        assert (recs[-1]["pass"], recs[-1]["error"]) == (2, 1)
 
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.jsonl"

@@ -5,8 +5,8 @@ import pytest
 
 from lexsweep import (
     Graph,
-    GraphError,
     Ordering,
+    OrderingError,
     OrbitBudgetError,
     PriorRightmost,
     SizeGuardError,
@@ -15,13 +15,16 @@ from lexsweep import (
     gen_interval,
     gen_poset_cocomp,
     is_umbrella_free,
+    k_ladder,
     lbfs_naive,
     lbfs_plus,
+    lbfs_reachable,
     lexcycle_exact,
     lexcycle_sampled,
     sweep_sequence,
     theorem_check,
 )
+from lexsweep.lexcycle import _lbfs_orderings
 
 from conftest import all_graphs, complete, cycle, path, random_graph
 
@@ -43,8 +46,16 @@ class TestSweepEngine:
     def test_start_out_of_range(self):
         # the sweep starts at the prior's last entry; the C kernel would
         # index by it unchecked
-        with pytest.raises(GraphError):
+        with pytest.raises(OrderingError):
             SweepEngine(path(3)).step((0, 1, -1))
+
+    @pytest.mark.parametrize("prior", [(0, 0, 1), (0, 1), (-1, 0, 1), (0, 1, 3)])
+    def test_prior_must_be_a_permutation(self, prior):
+        # (-1, 0, 1) fills every slot of prio, since prio[-1] is prio[2]
+        eng = SweepEngine(path(3))
+        with pytest.raises(OrderingError):
+            eng.step(prior)
+        assert eng.cache == {}
 
 
 class TestSweepSequence:
@@ -113,8 +124,18 @@ class TestLexCycleExact:
         assert lexcycle_exact(path(4)).value == 2
 
     def test_guard(self):
+        est = lexcycle_exact(k_ladder(4))  # n = 10
+        assert (est.value, est.starts_examined) == (2, 44)
+        # every ordering of 8 isolated vertices is an LBFS ordering, and the
+        # bound of 8! is inclusive
+        assert lexcycle_exact(Graph(8)).starts_examined == 40320
         with pytest.raises(SizeGuardError):
             lexcycle_exact(Graph(9))
+
+    def test_k_ladder_3_walks_its_lbfs_orderings(self):
+        est = lexcycle_exact(k_ladder(3))
+        assert (est.value, est.starts_examined) == (2, 32)
+        assert est.argmax_start == Ordering(range(8))
 
     def test_sampled_is_lower_bound(self, rng):
         for _ in range(40):
@@ -124,14 +145,26 @@ class TestLexCycleExact:
             assert sampled <= exact
 
     def test_agrees_with_detect_orbit_max(self, rng):
-        for _ in range(15):
-            g = random_graph(rng.randrange(1, 6), rng.random(), rng)
-            exact = lexcycle_exact(g).value
+        # the n! route: the longest terminal cycle over every start
+        graphs = [g for n in range(6) for g in all_graphs(n)]
+        graphs += [random_graph(n, rng.random(), rng) for n in (6, 7) for _ in range(4)]
+        for g in graphs:
+            eng = SweepEngine(g)
             brute = max(
-                detect_orbit(g, Ordering(p)).period
+                detect_orbit(g, Ordering(p), engine=eng).period
                 for p in permutations(range(g.n))
             )
-            assert exact == brute
+            assert lexcycle_exact(g).value == brute, g.adj
+
+    def test_orderings_are_the_image_of_the_sweep_map(self):
+        for n in range(6):
+            for g in all_graphs(n):
+                orderings = _lbfs_orderings(g)
+                assert orderings == sorted(set(orderings)), g.adj
+                eng = SweepEngine(g)
+                image = {eng.step(p) for p in permutations(range(n))}
+                assert set(orderings) == image, g.adj
+                assert all(lbfs_reachable(g, Ordering(s)) for s in orderings)
 
 
 class TestLexCycleSampled:
