@@ -6,41 +6,50 @@
  * in label order; visiting u splits each class into neighbours-first and
  * non-neighbours. Within the head class the vertex of smallest prio wins.
  *
- * The adjacency is read straight from Graph.adj, a tuple of n tuples of
- * ints: each row is read once, when its vertex is numbered, so there is
- * no flattened copy to build first. The caller holds the GIL (the library
- * is loaded with ctypes.PyDLL).
- *
- * Built on first use by lexsweep.search. Returns 0 on success, -1 when a
- * work array cannot be allocated, and -2 with a Python exception set when
- * adj is malformed.
+ * adj is Graph.adj, a tuple of n tuples of ints, each row read once, when
+ * its vertex is numbered; prio is a list of n ints. The caller holds the
+ * GIL (the library is loaded with ctypes.PyDLL). Built on first use by
+ * lexsweep.search. Returns the visit order as a new tuple of n ints, or
+ * NULL with a Python exception set: TypeError or ValueError on malformed
+ * input (out-of-range neighbours and repeats of unnumbered ones included),
+ * MemoryError when the work arrays cannot be allocated.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
 #include <stdlib.h>
 
-int lbfs_refine(PyObject *adj, int64_t start, const int64_t *prio, int64_t *out)
+PyObject *lbfs_refine(PyObject *adj, int64_t start, PyObject *prio_list)
 {
-    Py_ssize_t n = PyTuple_Size(adj);
-    if (n < 0)
-        return -2;
-    /* each split adds one non-empty class and each step empties at most
-       one, so at most n + 2 classes are ever created; cap has room to
-       spare */
+    if (!PyTuple_Check(adj) || !PyList_Check(prio_list))
+        return PyErr_Format(PyExc_TypeError, "adj must be a tuple and prio a list");
+    Py_ssize_t n = PyTuple_GET_SIZE(adj);
+    if (PyList_GET_SIZE(prio_list) != n || start < 0 || start >= n)
+        return PyErr_Format(PyExc_ValueError,
+                            "prio covers %zd vertices and start is %lld; graph has %zd",
+                            PyList_GET_SIZE(prio_list), (long long)start, n);
+    /* prio, arr, loc, cls: n slots each; cstart, cend, moved (zeroed) and
+       touched: cap each. A split adds one non-empty class and a step
+       empties at most one, so at most n + 2 classes are ever created. */
     int64_t cap = 2 * n + 4;
-    int64_t *arr = malloc(n * sizeof *arr);
-    int64_t *loc = malloc(n * sizeof *loc);
-    int64_t *cls = malloc(n * sizeof *cls);
-    int64_t *cstart = malloc(cap * sizeof *cstart);
-    int64_t *cend = malloc(cap * sizeof *cend);
-    int64_t *moved = calloc(cap, sizeof *moved);
-    int64_t *touched = malloc(cap * sizeof *touched);
-    int rc = -1;
-    if (!arr || !loc || !cls || !cstart || !cend || !moved || !touched)
-        goto done;
+    int64_t *prio = calloc(4 * n + 4 * cap, sizeof *prio);
+    if (!prio)
+        return PyErr_NoMemory();
+    int64_t *arr = prio + n, *loc = arr + n, *cls = loc + n, *cstart = cls + n;
+    int64_t *cend = cstart + cap, *moved = cend + cap, *touched = moved + cap;
+    PyObject *result = NULL;
 
     for (int64_t v = 0; v < n; v++) {
+        /* PyLong_AsLongLong would call __index__ on a non-int, and that
+           could shrink the list under us */
+        PyObject *item = PyList_GET_ITEM(prio_list, v);
+        if (!PyLong_Check(item)) {
+            PyErr_Format(PyExc_TypeError, "prio[%lld] is not an int", (long long)v);
+            goto done;
+        }
+        prio[v] = PyLong_AsLongLong(item);
+        if (prio[v] == -1 && PyErr_Occurred())
+            goto done;
         arr[v] = v;
         loc[v] = v;
         cls[v] = 1;
@@ -76,23 +85,23 @@ int lbfs_refine(PyObject *adj, int64_t start, const int64_t *prio, int64_t *out)
             loc[u] = p;
         }
         cstart[head] = p + 1;
-        out[p] = u;
 
-        PyObject *row = PyTuple_GetItem(adj, u);
-        Py_ssize_t deg = row ? PyTuple_Size(row) : -1;
-        if (deg < 0) {
-            rc = -2;
+        PyObject *row = PyTuple_GET_ITEM(adj, u);
+        if (!PyTuple_Check(row)) {
+            PyErr_Format(PyExc_TypeError, "adj[%lld] is not a tuple", (long long)u);
             goto done;
         }
+        Py_ssize_t deg = PyTuple_GET_SIZE(row);
         int64_t ntouched = 0;
         for (Py_ssize_t e = 0; e < deg; e++) {
             int64_t w = PyLong_AsLongLong(PyTuple_GET_ITEM(row, e));
-            if (w < 0 || w >= n) {
+            /* a repeated neighbour already sits in [cstart, cstart + moved) */
+            if (w < 0 || w >= n ||
+                (loc[w] > p && loc[w] < cstart[cls[w]] + moved[cls[w]])) {
                 if (!PyErr_Occurred())
-                    PyErr_Format(PyExc_ValueError,
-                                 "neighbour %lld of vertex %lld out of range",
+                    PyErr_Format(PyExc_ValueError, "neighbour %lld of vertex %lld "
+                                 "is out of range or repeated",
                                  (long long)w, (long long)u);
-                rc = -2;
                 goto done;
             }
             if (loc[w] <= p)
@@ -129,15 +138,18 @@ int lbfs_refine(PyObject *adj, int64_t start, const int64_t *prio, int64_t *out)
             }
         }
     }
-    rc = 0;
+
+    /* arr[:n] now holds the visit order */
+    result = PyTuple_New(n);
+    for (int64_t p = 0; result && p < n; p++) {
+        PyObject *item = PyLong_FromLongLong(arr[p]);
+        if (!item)
+            Py_CLEAR(result);
+        else
+            PyTuple_SET_ITEM(result, p, item);
+    }
 
 done:
-    free(arr);
-    free(loc);
-    free(cls);
-    free(cstart);
-    free(cend);
-    free(moved);
-    free(touched);
-    return rc;
+    free(prio);
+    return result;
 }

@@ -11,7 +11,6 @@ import functools
 import json
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence, TextIO
 
 from . import __version__
@@ -183,8 +182,9 @@ def cmd_lexcycle(args) -> int:
     return status
 
 
-def _theorem_instance(params) -> dict:
-    (cls, n_min, n_max, p_choices, master_seed, index, extra, budget) = params
+def _theorem_instance(
+    cls, n_min, n_max, p_choices, master_seed, extra, budget, index
+) -> dict:
     seed = master_seed + index
     rng = random.Random(seed)
     n = rng.randint(n_min, n_max)
@@ -243,32 +243,31 @@ def _theorem_instance(params) -> dict:
     return record
 
 
+def _in_order(run, count: int, jobs: int):
+    """``run(i)`` for i in range(count), each yielded as soon as it and
+    every earlier one are done."""
+    if jobs <= 1:
+        yield from map(run, range(count))
+        return
+    # imported here: it pulls in multiprocessing, pickle and socket
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(run, range(count))
+
+
 def cmd_check_theorem(args) -> int:
     n_min = args.n_min if args.n_min is not None else args.n
     n_max = args.n_max if args.n_max is not None else args.n
     p_choices = tuple(args.p) if args.p else (0.5,)
-    params = [
-        (
-            args.cls,
-            n_min,
-            n_max,
-            p_choices,
-            args.seed,
-            i,
-            args.extra_starts,
-            args.budget,
-        )
-        for i in range(args.count)
-    ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_theorem_instance, params))
-    else:
-        records = [_theorem_instance(p) for p in params]
+    run = functools.partial(
+        _theorem_instance, args.cls, n_min, n_max, p_choices, args.seed,
+        args.extra_starts, args.budget,
+    )
     out = open(args.output, "w") if args.output else sys.stdout
     try:
         counts = {"pass": 0, "fail": 0, "not-applicable": 0, "error": 0}
-        for record in records:
+        for record in _in_order(run, args.count, args.jobs):
             counts[record["verdict"]] += 1
             _emit(record, args, out)
         _emit(

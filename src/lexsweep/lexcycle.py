@@ -2,8 +2,8 @@
 terminal cycle, and compute the maximum terminal-cycle length exactly or
 by sampling.
 
-The map is evaluated by `SweepEngine`, a memo table over the one
-partition-refinement LBFS of `search` (the C kernel whenever it builds).
+The map is evaluated by `SweepEngine`, a memo table over `search._sweep`,
+the one LBFS+ map (the C kernel whenever it builds).
 Orbits revisit orderings, and the orbits of many starts merge, so each
 distinct sweep is computed once per engine.
 
@@ -19,13 +19,11 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .certify import is_umbrella_free, NOT_APPLICABLE, PASS, FAIL
 from .graph import Graph
-from .search import (
-    MIN_INDEX, Ordering, OrderingError, _refine, _rightmost_priority, lbfs,
-)
+from .search import MIN_INDEX, Ordering, _sweep, lbfs
 
-# lexcycle_exact enumerates at most this many LBFS orderings (8!, so every
-# graph with n <= 8 fits)
-_EXACT_MAX_ORDERINGS = 40_320
+# lexcycle_exact's work bound: n^2 x LBFS orderings is at most 8^2 x 8!,
+# so every graph with n <= 8 fits
+_EXACT_MAX_WORK = 64 * 40_320
 
 
 class SizeGuardError(ValueError):
@@ -44,10 +42,10 @@ class OrbitBudgetError(RuntimeError):
 class SweepEngine:
     """The LBFS+ map over raw ordering tuples, memoized per graph.
 
-    ``step(prior)`` equals ``lbfs_plus(g, Ordering(prior)).seq`` and runs
-    the same partition refinement, without building an `Ordering`. Every
-    computed sweep stays in ``cache``, keyed by its prior tuple. A prior
-    that is not a permutation of the vertices raises `OrderingError`.
+    ``step(prior)`` is ``search._sweep(g, prior)``, the map that
+    `lbfs_plus` wraps in an `Ordering`. Every computed sweep stays in
+    ``cache``, keyed by its prior tuple. A prior that is not a permutation
+    of the vertices raises `OrderingError` and is not cached.
     """
 
     def __init__(self, g: Graph) -> None:
@@ -57,16 +55,7 @@ class SweepEngine:
     def step(self, prior: Tuple[int, ...]) -> Tuple[int, ...]:
         out = self.cache.get(prior)
         if out is None:
-            n = self.g.n
-            # len/min/max and the sentinel scan run at C speed; min is
-            # checked on its own because a negative entry wraps in prio
-            if len(prior) != n or (n and (min(prior) < 0 or max(prior) >= n)):
-                raise OrderingError(f"not a permutation of 0..{n - 1}: {prior}")
-            prio = _rightmost_priority(prior)
-            if -1 in prio:
-                raise OrderingError(f"not a permutation of 0..{n - 1}: {prior}")
-            out = tuple(_refine(self.g, prior[-1], prio)) if n else ()
-            self.cache[prior] = out
+            out = self.cache[prior] = _sweep(self.g, prior)
         return out
 
 
@@ -94,8 +83,6 @@ def sweep_sequence(g: Graph, pi: Ordering, k: int) -> List[Ordering]:
     """[sigma_0 .. sigma_{k-1}] where sigma_0 is one sweep applied to pi."""
     if k < 1:
         raise ValueError(f"sweep count must be >= 1, got {k}")
-    if len(pi) != g.n:
-        raise OrderingError("initial ordering does not cover the vertex set")
     eng = SweepEngine(g)
     out = []
     cur = pi.seq
@@ -112,8 +99,6 @@ def detect_orbit(
     engine: Optional[SweepEngine] = None,
 ) -> OrbitResult:
     """Follow the orbit of pi under the sweep map to its terminal cycle."""
-    if len(pi) != g.n:
-        raise OrderingError("initial ordering does not cover the vertex set")
     budget = default_sweep_budget(g.n) if max_sweeps is None else max_sweeps
     if budget < 1:
         raise ValueError(f"sweep budget must be >= 1, got {max_sweeps}")
@@ -178,6 +163,15 @@ def _max_period(
     )
 
 
+def _guard_work(n: int, orderings: int) -> None:
+    if orderings * n * n > _EXACT_MAX_WORK:
+        raise SizeGuardError(
+            "lexcycle_exact is guarded at n^2 x LBFS orderings <= 8^2 x 8!; "
+            f"this graph has {n} vertices and at least {orderings} LBFS "
+            "orderings; use lexcycle_sampled"
+        )
+
+
 def _lbfs_orderings(g: Graph) -> List[Tuple[int, ...]]:
     """Every LBFS ordering of g, in lexicographic order.
 
@@ -185,13 +179,14 @@ def _lbfs_orderings(g: Graph) -> List[Tuple[int, ...]]:
     label, taking ties in ascending vertex order. Labels are ints: the
     vertex visited at position p sets bit n-1-p in the labels of its
     neighbours, so comparing ints compares label sequences. Every node of
-    the search tree has a child, so it has at most n nodes per ordering.
-    Raises `SizeGuardError` once there are more than
-    ``_EXACT_MAX_ORDERINGS``.
+    the search tree has a child, so it has at most n nodes per ordering,
+    each costing O(n). Raises `SizeGuardError` as soon as n^2 x orderings
+    passes ``_EXACT_MAX_WORK``, before the search when n^3 does.
     """
     n = g.n
     if n == 0:
         return [()]
+    _guard_work(n, n)  # any vertex can start an LBFS
     adj = g.adj
     label = [0] * n
     prefix: List[int] = []
@@ -217,12 +212,7 @@ def _lbfs_orderings(g: Graph) -> List[Tuple[int, ...]]:
         prefix.append(v)
         rest = [u for u in free if u != v]
         if len(rest) <= 1:  # the last vertex is forced
-            if len(out) == _EXACT_MAX_ORDERINGS:
-                raise SizeGuardError(
-                    f"lexcycle_exact is guarded at {_EXACT_MAX_ORDERINGS} "
-                    f"LBFS orderings (8!); this graph on {n} vertices has "
-                    "more; use lexcycle_sampled"
-                )
+            _guard_work(n, len(out) + 1)
             out.append(tuple(prefix + rest))
             continue
         top = max([label[u] for u in rest])
@@ -237,7 +227,9 @@ def lexcycle_exact(g: Graph) -> LexCycleEstimate:
     the terminal cycle of its image f(pi), which is an LBFS ordering, so
     they reach every terminal cycle. ``starts_examined`` counts them, and
     ``argmax_start`` is the lexicographically first one whose orbit reaches
-    a longest cycle. Raises `SizeGuardError` beyond 40 320 (8!) orderings.
+    a longest cycle. Enumerating the orderings and walking their orbits
+    both cost O(n^2) per ordering, so `SizeGuardError` is raised once
+    n^2 x orderings passes 8^2 x 8! (every graph with n <= 8 fits).
     """
     return _max_period(g, _lbfs_orderings(g), "exact")
 

@@ -3,9 +3,10 @@
 There is one LBFS engine, an ordered partition refinement (`lbfs`,
 linear-time up to tie-break scans). `_refine` runs it as a C port
 (`_lbfs_kernel.c`, compiled on first use) whenever that builds, else as
-`_lbfs_core`; `lbfs`, `lbfs_plus` and `lexcycle.SweepEngine` all go
-through it. `lbfs_naive` is a literal label-list LBFS kept as the
-oracle. `lbfs_plus` is the rightmost-in-prior tie-breaking wrapper.
+`_lbfs_core`. `lbfs_naive` is a literal label-list LBFS kept as the
+oracle. The LBFS+ map (LBFS from the prior's last vertex, ties toward
+the rightmost in the prior) is `_sweep` on raw tuples; `lbfs_plus` and
+`lexcycle.SweepEngine` both call it.
 
 Every tie-break mode reduces to a static priority permutation: within a
 set of tied vertices the one with the smallest priority value wins.
@@ -22,10 +23,9 @@ import subprocess
 import sysconfig
 import tempfile
 import warnings
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .graph import Graph, GraphError
 
@@ -109,11 +109,7 @@ def _priority(tb: TieBreak, n: int) -> List[int]:
     if isinstance(tb, MinIndex):
         return list(range(n))
     if isinstance(tb, PriorRightmost):
-        if len(tb.prior) != n:
-            raise OrderingError(
-                f"prior ordering covers {len(tb.prior)} vertices, graph has {n}"
-            )
-        return _rightmost_priority(tb.prior.seq)
+        return _rightmost_priority(tb.prior.seq, n)
     if isinstance(tb, Seeded):
         prio = list(range(n))
         random.Random(tb.seed).shuffle(prio)
@@ -121,12 +117,18 @@ def _priority(tb: TieBreak, n: int) -> List[int]:
     raise TypeError(f"unknown tie-break: {tb!r}")
 
 
-def _rightmost_priority(prior: Sequence[int]) -> List[int]:
-    # the LBFS+ tie-break: prio[v] = n - 1 - (position of v in prior).
-    # Slots of vertices missing from prior stay -1.
-    prio = [-1] * len(prior)
+def _rightmost_priority(prior: Sequence[int], n: int) -> List[int]:
+    """The LBFS+ tie-break, prio[v] = n - 1 - (position of v in prior).
+    Raises `OrderingError` unless prior is a permutation of 0..n-1."""
+    # len/min/max and the sentinel scan run at C speed; min is checked on
+    # its own because a negative entry wraps around in prio
+    if len(prior) != n or (n and (min(prior) < 0 or max(prior) >= n)):
+        raise OrderingError(f"not a permutation of 0..{n - 1}: {prior}")
+    prio = [-1] * n
     for i, v in enumerate(reversed(prior)):
         prio[v] = i
+    if -1 in prio:
+        raise OrderingError(f"not a permutation of 0..{n - 1}: {prior}")
     return prio
 
 
@@ -205,16 +207,22 @@ def _lbfs_core(adj: Sequence[Sequence[int]], n: int, start: int, prio: Sequence[
     return arr
 
 
-def _refine(g: Graph, start: int, prio: Sequence[int]) -> List[int]:
-    """The one LBFS refinement: the C kernel whenever it loads, else
-    `_lbfs_core`. The kernel indexes by ``start`` unchecked."""
+def _refine(g: Graph, start: int, prio: List[int]) -> Tuple[int, ...]:
+    """The LBFS refinement: the C kernel if it loads, else `_lbfs_core`."""
     if not (0 <= start < g.n):
         raise GraphError(f"start vertex out of range: {start}")
     kernel, reason = _kernel()
     if kernel is not None:
-        return _lbfs_c(kernel, g, start, prio)
+        return kernel(g.adj, start, prio)
     _warn_fallback(reason)
-    return _lbfs_core(g.adj, g.n, start, prio)
+    return tuple(_lbfs_core(g.adj, g.n, start, prio))
+
+
+def _sweep(g: Graph, prior: Sequence[int]) -> Tuple[int, ...]:
+    """The LBFS+ map: LBFS from ``prior[-1]``, ties toward prior-rightmost.
+    Raises `OrderingError` unless prior is a permutation of the vertices."""
+    prio = _rightmost_priority(prior, g.n)
+    return _refine(g, prior[-1], prio) if prio else ()
 
 
 def lbfs(g: Graph, start: int, tb: TieBreak = MIN_INDEX) -> Ordering:
@@ -246,13 +254,7 @@ def lbfs_naive(g: Graph, start: int, tb: TieBreak = MIN_INDEX) -> Ordering:
 
 def lbfs_plus(g: Graph, prior: Ordering) -> Ordering:
     """LBFS started at the prior's last vertex, ties toward prior-rightmost."""
-    if len(prior) != g.n:
-        raise OrderingError(
-            f"prior ordering covers {len(prior)} vertices, graph has {g.n}"
-        )
-    if g.n == 0:
-        return Ordering(())
-    return lbfs(g, prior.last(), PriorRightmost(prior))
+    return Ordering(_sweep(g, prior.seq))
 
 
 def lmpn(g: Graph, sigma: Ordering, y: int, z: int) -> Optional[int]:
@@ -329,9 +331,8 @@ def _kernel():
     except OSError as exc:
         return None, f"the C kernel could not be built or loaded: {exc}"
     fn = lib.lbfs_refine
-    # prio and out are int64 buffers: array("q") addresses, see _lbfs_c
-    fn.argtypes = [ctypes.py_object, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
-    fn.restype = ctypes.c_int
+    fn.argtypes = [ctypes.py_object, ctypes.c_int64, ctypes.py_object]
+    fn.restype = ctypes.py_object
     return fn, None
 
 
@@ -377,13 +378,3 @@ def _warn_fallback(reason: str) -> None:
         stacklevel=4,
     )
 
-
-def _lbfs_c(kernel, g: Graph, start: int, prio: Sequence[int]) -> List[int]:
-    prio_buf = array("q", prio)
-    if len(prio_buf) != g.n:  # the kernel reads n entries
-        raise ValueError(f"priority covers {len(prio_buf)} vertices, graph has {g.n}")
-    out = array("q", [0]) * g.n
-    rc = kernel(g.adj, start, prio_buf.buffer_info()[0], out.buffer_info()[0])
-    if rc != 0:
-        raise MemoryError(f"C kernel could not allocate its work arrays (n={g.n})")
-    return out.tolist()

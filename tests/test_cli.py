@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import lexsweep
 from lexsweep import Graph, Ordering, from_graph6, theorem_check, to_graph6
 import lexsweep.cli as cli
 from lexsweep.cli import main
@@ -201,6 +205,18 @@ class TestCheckTheorem:
         assert from_graph6(recs[1]["graph6"]) == calls[1]
         assert (recs[-1]["pass"], recs[-1]["error"]) == (2, 1)
 
+    def test_records_are_written_as_they_are_made(self, capsys, monkeypatch):
+        real = cli._theorem_instance
+        written = []  # lines written before each instance starts
+
+        def spy(*args):
+            written.append(capsys.readouterr().out.count("\n"))
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_theorem_instance", spy)
+        main(["check-theorem", "--class", "interval", "--count", "3", "--n", "5"])
+        assert written == [0, 1, 1]
+
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.jsonl"
         code, _, _ = run(
@@ -296,3 +312,17 @@ class TestRecognize:
         inp.write_text("\x01\x02 nonsense\n")
         code, _, err = run(capsys, ["recognize", "--input", str(inp)])
         assert code == 2 and records(err)[0]["error"] == "FormatError"
+
+
+def test_import_leaves_out_process_pools():
+    # concurrent.futures pulls in multiprocessing; only --jobs > 1 needs it
+    src_root = os.path.dirname(os.path.dirname(lexsweep.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_root, env.get("PYTHONPATH")) if p
+    )
+    code = ("import sys, lexsweep.cli; "
+            "print('concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False", "False"]

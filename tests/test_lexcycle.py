@@ -21,6 +21,7 @@ from lexsweep import (
     lbfs_reachable,
     lexcycle_exact,
     lexcycle_sampled,
+    named,
     sweep_sequence,
     theorem_check,
 )
@@ -56,6 +57,12 @@ class TestSweepEngine:
         with pytest.raises(OrderingError):
             eng.step(prior)
         assert eng.cache == {}
+
+    def test_orbit_and_sequence_starts_are_checked_by_the_step(self):
+        for run in (lambda pi: detect_orbit(path(3), pi),
+                    lambda pi: sweep_sequence(path(3), pi, 2)):
+            with pytest.raises(OrderingError):
+                run(Ordering((0, 1)))
 
 
 class TestSweepSequence:
@@ -131,6 +138,18 @@ class TestLexCycleExact:
         assert lexcycle_exact(Graph(8)).starts_examined == 40320
         with pytest.raises(SizeGuardError):
             lexcycle_exact(Graph(9))
+
+    def test_guard_bounds_the_work(self):
+        # the 1 000-vertex path has only 1 998 LBFS orderings, but each one
+        # costs O(n^2) to enumerate and to sweep
+        with pytest.raises(SizeGuardError):
+            lexcycle_exact(named("path", 1000))
+        # n^3 passes the bound, so these are refused before any search
+        for g in (Graph(50_000), named("path", 50_000)):
+            with pytest.raises(SizeGuardError):
+                lexcycle_exact(g)
+        est = lexcycle_exact(path(62))  # 62^2 x 122 orderings fits
+        assert (est.value, est.starts_examined) == (2, 122)
 
     def test_k_ladder_3_walks_its_lbfs_orderings(self):
         est = lexcycle_exact(k_ladder(3))

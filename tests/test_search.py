@@ -1,7 +1,10 @@
 import os
 import random
+import shutil
 import subprocess
 import sys
+import sysconfig
+import warnings
 from itertools import permutations
 
 import pytest
@@ -91,6 +94,8 @@ class TestLbfsPlus:
     def test_rejects_wrong_cover(self):
         with pytest.raises(OrderingError):
             lbfs_plus(path(4), Ordering((0, 1, 2)))
+        with pytest.raises(OrderingError):
+            lbfs(path(4), 0, PriorRightmost(Ordering((0, 1, 2))))
 
     def test_empty_graph(self):
         assert lbfs_plus(Graph(0), Ordering(())).seq == ()
@@ -182,6 +187,77 @@ class TestEngineEquivalence:
         a = lbfs(g, 5, Seeded(99))
         b = lbfs(g, 5, Seeded(99))
         assert a == b
+
+
+@needs_cc
+class TestKernelBoundary:
+    """The C kernel takes ``(Graph.adj, start, prio list)`` and returns the
+    visit order as a tuple, or raises; it never reads out of bounds."""
+
+    @pytest.mark.parametrize(
+        "adj, start, prio, error",
+        [
+            (path(3).adj, 0, [0, 1], ValueError),
+            (path(3).adj, 0, [0, 1, 2, 3], ValueError),
+            (path(3).adj, 0, (0, 1, 2), TypeError),
+            (path(3).adj, 0, [0, "1", 2], TypeError),
+            (path(3).adj, 0, [0, 1.0, 2], TypeError),
+            (path(3).adj, 3, [0, 1, 2], ValueError),
+            (path(3).adj, -1, [0, 1, 2], ValueError),
+            ((), 0, [], ValueError),
+            (((1,), (0, 5)), 0, [0, 1], ValueError),
+            (((1,), (0, -1)), 0, [0, 1], ValueError),
+            (((1,), [0]), 0, [0, 1], TypeError),
+            (((1,) * 100, (0,)), 0, [0, 1], ValueError),
+            (list(path(2).adj), 0, [0, 1], TypeError),
+        ],
+        ids=["short-prio", "long-prio", "tuple-prio", "str-prio", "float-prio",
+             "start-n", "start-negative", "empty", "neighbour-n",
+             "neighbour-negative", "list-row", "duplicate-neighbour", "list-adj"],
+    )
+    def test_malformed_input_raises(self, adj, start, prio, error):
+        kernel, reason = search._kernel()
+        assert kernel is not None, reason
+        with pytest.raises(error):
+            kernel(adj, start, prio)
+
+    def test_returns_a_tuple(self):
+        kernel, reason = search._kernel()
+        assert kernel is not None, reason
+        assert kernel(cycle(4).adj, 0, [0, 1, 2, 3]) == (0, 1, 3, 2)
+
+    def test_sweeps_match_the_fallback(self, rng, monkeypatch):
+        cases = []
+        for _ in range(100):
+            g = random_graph(rng.randrange(1, 40), rng.random() * 0.4, rng)
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            cases.append((g, Ordering(perm)))
+        cases.append((Graph(0), Ordering(())))
+
+        def sweeps():
+            return [(lbfs_plus(g, p).seq, SweepEngine(g).step(p.seq))
+                    for g, p in cases]
+
+        assert search.kernel_backend() == "c"
+        kernel = sweeps()
+        monkeypatch.setattr(search, "_kernel", lambda: (None, "forced off"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fallback = sweeps()
+        assert kernel == fallback
+        for plus, step in kernel:
+            assert type(step) is tuple and plus == step
+
+    def test_compiles_warning_free(self):
+        cc = shutil.which(os.environ.get("CC", "cc"))
+        include = sysconfig.get_paths()["include"]
+        res = subprocess.run(
+            [cc, "-Wall", "-Wextra", "-Werror", "-fsyntax-only", "-I", include,
+             str(search._KERNEL_SOURCE)],
+            capture_output=True, text=True,
+        )
+        assert res.returncode == 0, res.stderr
 
 
 class TestProperties:
