@@ -1,0 +1,92 @@
+"""The compiled kernel: `_lbfs_kernel.c`, built on first use and loaded
+with ctypes.
+
+The library holds two functions: `graph_adj`, which `Graph.__init__`
+calls to build adjacency rows, and `lbfs_refine`, which `search._refine`
+calls for every LBFS. When it cannot be built or loaded, each caller runs
+its pure-Python fallback, which gives identical output, after
+`_warn_fallback` has said why, once.
+"""
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import shutil
+import subprocess
+import sysconfig
+import tempfile
+import warnings
+from pathlib import Path
+
+_SOURCE = Path(__file__).with_name("_lbfs_kernel.c")
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel():
+    """The loaded library as ``(lib, None)``, or ``(None, reason)``.
+
+    The first call builds it with ``$CC`` (default ``cc``) against this
+    interpreter's headers, into a per-user cache directory; later calls
+    and processes reuse the build.
+    """
+    cc = os.environ.get("CC", "cc")
+    cc_path = shutil.which(cc)
+    if cc_path is None:
+        return None, f"no C compiler: {cc!r} is not on PATH"
+    try:
+        lib = ctypes.PyDLL(str(_build_kernel(cc_path)))
+    except subprocess.CalledProcessError as exc:
+        return None, f"{cc!r} failed to build the C kernel: {exc.stderr.strip()}"
+    except OSError as exc:
+        return None, f"the C kernel could not be built or loaded: {exc}"
+    lib.lbfs_refine.argtypes = [ctypes.py_object, ctypes.c_int64, ctypes.py_object]
+    lib.graph_adj.argtypes = [ctypes.py_object, ctypes.py_object]
+    lib.lbfs_refine.restype = lib.graph_adj.restype = ctypes.py_object
+    return lib, None
+
+
+def _build_kernel(cc_path: str) -> Path:
+    # The kernel reads Python tuples, so it is built against this
+    # interpreter's headers. The library name hashes the source, the
+    # compiler and the interpreter ABI, so a change to any of them builds
+    # afresh. Building to a temporary name and renaming it into place
+    # keeps concurrent worker processes from loading a half-written file.
+    include = sysconfig.get_paths()["include"]
+    parts = [
+        _SOURCE.read_bytes(),
+        os.path.realpath(cc_path).encode(),
+        include.encode(),
+        str(sysconfig.get_config_var("SOABI")).encode(),
+    ]
+    key = hashlib.sha256(b"\0".join(parts)).hexdigest()[:16]
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "lexsweep"
+    lib = cache / f"lbfs_kernel-{key}.so"
+    if lib.exists():
+        return lib
+    cache.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=cache, suffix=".so.tmp")
+    os.close(fd)
+    try:
+        subprocess.run(
+            [cc_path, "-O2", "-shared", "-fPIC", "-I", include, "-o", tmp,
+             str(_SOURCE)],
+            check=True, capture_output=True, text=True,
+        )
+        os.replace(tmp, lib)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return lib
+
+
+@functools.lru_cache(maxsize=None)
+def _warn_fallback(reason: str) -> None:
+    # stacklevel 3 names the caller of Graph(...), which falls back first
+    warnings.warn(
+        f"graphs are built and LBFS runs on the pure-Python fallback, "
+        f"not the C kernel: {reason}",
+        RuntimeWarning,
+        stacklevel=3,
+    )

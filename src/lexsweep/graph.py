@@ -3,13 +3,17 @@
 Graphs are immutable after construction and safe to share between
 threads. Adjacency is stored per vertex as a sorted tuple (ordered
 iteration for the search engines) with lazily-built frozensets for
-membership tests.
+membership tests. `Graph.__init__` builds the tuples in the compiled
+kernel (`graph_adj` in `_lbfs_kernel.c`, the file of the C LBFS) whenever
+it loads, else in `_python_adj`, which gives identical output.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Tuple
+
+from ._kernel import _kernel, _warn_fallback
 
 
 class GraphError(ValueError):
@@ -29,22 +33,23 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = ()) -> None:
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
-        adj = [set() for _ in range(n)]
-        # Rows share one int object per vertex instead of keeping the
-        # caller's: scans of a large graph (the C LBFS kernel's above all)
-        # then read a compact block of ints, not 2m objects scattered over
-        # the heap.
-        ids = list(range(n))
-        for u, v in edges:
-            if not (0 <= u < n) or not (0 <= v < n):
-                raise GraphError(f"edge endpoint out of range 0..{n - 1}: ({u}, {v})")
-            if u == v:
-                raise GraphError(f"self-loop rejected: ({u}, {v})")
-            adj[u].add(ids[v])
-            adj[v].add(ids[u])
+        if not isinstance(edges, list):
+            edges = list(edges)
+        lib, reason = _kernel()
+        if lib is None:
+            _warn_fallback(reason)
+            adj = _python_adj(n, edges)
+        else:
+            adj = lib.graph_adj(n, edges)
+            if adj is None:
+                # an edge that is not a tuple or list of two ints (numpy
+                # integers, say), which only the Python loop reads
+                adj = _python_adj(n, edges)
+            elif isinstance(adj, int):
+                raise _edge_error(n, *edges[adj])
         self.n = n
-        self._adj = tuple(tuple(sorted(s)) for s in adj)
-        self.m = sum(len(t) for t in self._adj) // 2
+        self._adj = adj
+        self.m = sum(map(len, adj)) // 2
         self._adjsets = None
 
     @classmethod
@@ -95,6 +100,29 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _python_adj(n: int, edges: Iterable[Tuple[int, int]]) -> Tuple[Tuple[int, ...], ...]:
+    """`Graph.adj` built in Python: the fallback of the C builder, and its
+    reference in the tests."""
+    adj = [set() for _ in range(n)]
+    # Rows share one int object per vertex instead of keeping the caller's:
+    # scans of a large graph (the C LBFS kernel's above all) then read a
+    # compact block of ints, not 2m objects scattered over the heap.
+    ids = list(range(n))
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            raise _edge_error(n, u, v)
+        adj[u].add(ids[v])
+        adj[v].add(ids[u])
+    return tuple(tuple(sorted(s)) for s in adj)
+
+
+def _edge_error(n: int, u: int, v: int) -> GraphError:
+    """The error for an edge that is out of range or a self-loop."""
+    if 0 <= u < n and 0 <= v < n:
+        return GraphError(f"self-loop rejected: ({u}, {v})")
+    return GraphError(f"edge endpoint out of range 0..{n - 1}: ({u}, {v})")
 
 
 def from_edge_list(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:

@@ -5,28 +5,19 @@ linear-time up to tie-break scans). `_refine` runs it as a C port
 (`_lbfs_kernel.c`, compiled on first use) whenever that builds, else as
 `_lbfs_core`. `lbfs_naive` is a literal label-list LBFS kept as the
 oracle. The LBFS+ map (LBFS from the prior's last vertex, ties toward
-the rightmost in the prior) is `_sweep` on raw tuples; `lbfs_plus` and
-`lexcycle.SweepEngine` both call it.
+the rightmost in the prior) is `_sweep`; `lbfs_plus` calls it on an
+`Ordering` and `lexcycle.SweepEngine` on raw tuples.
 
 Every tie-break mode reduces to a static priority permutation: within a
 set of tied vertices the one with the smallest priority value wins.
 """
 from __future__ import annotations
 
-import ctypes
-import functools
-import hashlib
-import os
 import random
-import shutil
-import subprocess
-import sysconfig
-import tempfile
-import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
+from ._kernel import _kernel, _warn_fallback
 from .graph import Graph, GraphError
 
 
@@ -109,7 +100,7 @@ def _priority(tb: TieBreak, n: int) -> List[int]:
     if isinstance(tb, MinIndex):
         return list(range(n))
     if isinstance(tb, PriorRightmost):
-        return _rightmost_priority(tb.prior.seq, n)
+        return _rightmost_priority(tb.prior, n)
     if isinstance(tb, Seeded):
         prio = list(range(n))
         random.Random(tb.seed).shuffle(prio)
@@ -117,9 +108,15 @@ def _priority(tb: TieBreak, n: int) -> List[int]:
     raise TypeError(f"unknown tie-break: {tb!r}")
 
 
-def _rightmost_priority(prior: Sequence[int], n: int) -> List[int]:
+def _rightmost_priority(prior: Union[Ordering, Sequence[int]], n: int) -> List[int]:
     """The LBFS+ tie-break, prio[v] = n - 1 - (position of v in prior).
-    Raises `OrderingError` unless prior is a permutation of 0..n-1."""
+    Raises `OrderingError` unless prior is a permutation of 0..n-1. An
+    `Ordering` is one by construction, so only its length is checked."""
+    if isinstance(prior, Ordering):
+        if len(prior) != n:
+            raise OrderingError(f"not a permutation of 0..{n - 1}: {prior.seq}")
+        last = n - 1
+        return [last - p for p in prior.pos]
     # len/min/max and the sentinel scan run at C speed; min is checked on
     # its own because a negative entry wraps around in prio
     if len(prior) != n or (n and (min(prior) < 0 or max(prior) >= n)):
@@ -211,18 +208,21 @@ def _refine(g: Graph, start: int, prio: List[int]) -> Tuple[int, ...]:
     """The LBFS refinement: the C kernel if it loads, else `_lbfs_core`."""
     if not (0 <= start < g.n):
         raise GraphError(f"start vertex out of range: {start}")
-    kernel, reason = _kernel()
-    if kernel is not None:
-        return kernel(g.adj, start, prio)
+    lib, reason = _kernel()
+    if lib is not None:
+        return lib.lbfs_refine(g.adj, start, prio)
     _warn_fallback(reason)
     return tuple(_lbfs_core(g.adj, g.n, start, prio))
 
 
-def _sweep(g: Graph, prior: Sequence[int]) -> Tuple[int, ...]:
-    """The LBFS+ map: LBFS from ``prior[-1]``, ties toward prior-rightmost.
-    Raises `OrderingError` unless prior is a permutation of the vertices."""
+def _sweep(g: Graph, prior: Union[Ordering, Sequence[int]]) -> Tuple[int, ...]:
+    """The LBFS+ map: LBFS from the prior's last vertex, ties toward
+    prior-rightmost, on an `Ordering` or a raw tuple. Raises
+    `OrderingError` unless prior is a permutation of the vertices."""
     prio = _rightmost_priority(prior, g.n)
-    return _refine(g, prior[-1], prio) if prio else ()
+    if not prio:
+        return ()
+    return _refine(g, prior.last() if isinstance(prior, Ordering) else prior[-1], prio)
 
 
 def lbfs(g: Graph, start: int, tb: TieBreak = MIN_INDEX) -> Ordering:
@@ -254,7 +254,7 @@ def lbfs_naive(g: Graph, start: int, tb: TieBreak = MIN_INDEX) -> Ordering:
 
 def lbfs_plus(g: Graph, prior: Ordering) -> Ordering:
     """LBFS started at the prior's last vertex, ties toward prior-rightmost."""
-    return Ordering(_sweep(g, prior.seq))
+    return Ordering(_sweep(g, prior))
 
 
 def lmpn(g: Graph, sigma: Ordering, y: int, z: int) -> Optional[int]:
@@ -304,77 +304,12 @@ def lbfs_reachable(g: Graph, sigma: Ordering) -> bool:
 
 # -- compiled kernel ---------------------------------------------------------
 
-_KERNEL_SOURCE = Path(__file__).with_name("_lbfs_kernel.c")
-
 
 def kernel_backend() -> str:
-    """``"c"`` when the compiled refinement kernel loads, else ``"python"``.
+    """``"c"`` when the compiled kernel loads, else ``"python"``.
 
     The first call builds the kernel with ``$CC`` (default ``cc``) against
     this interpreter's headers, into a per-user cache directory; later
     calls and processes reuse the build.
     """
     return "c" if _kernel()[0] is not None else "python"
-
-
-@functools.lru_cache(maxsize=None)
-def _kernel():
-    """The loaded C kernel as ``(function, None)``, or ``(None, reason)``."""
-    cc = os.environ.get("CC", "cc")
-    cc_path = shutil.which(cc)
-    if cc_path is None:
-        return None, f"no C compiler: {cc!r} is not on PATH"
-    try:
-        lib = ctypes.PyDLL(str(_build_kernel(cc_path)))
-    except subprocess.CalledProcessError as exc:
-        return None, f"{cc!r} failed to build the C kernel: {exc.stderr.strip()}"
-    except OSError as exc:
-        return None, f"the C kernel could not be built or loaded: {exc}"
-    fn = lib.lbfs_refine
-    fn.argtypes = [ctypes.py_object, ctypes.c_int64, ctypes.py_object]
-    fn.restype = ctypes.py_object
-    return fn, None
-
-
-def _build_kernel(cc_path: str) -> Path:
-    # The kernel reads Python tuples, so it is built against this
-    # interpreter's headers. The library name hashes the source, the
-    # compiler and the interpreter ABI, so a change to any of them builds
-    # afresh. Building to a temporary name and renaming it into place
-    # keeps concurrent worker processes from loading a half-written file.
-    include = sysconfig.get_paths()["include"]
-    parts = [
-        _KERNEL_SOURCE.read_bytes(),
-        os.path.realpath(cc_path).encode(),
-        include.encode(),
-        str(sysconfig.get_config_var("SOABI")).encode(),
-    ]
-    key = hashlib.sha256(b"\0".join(parts)).hexdigest()[:16]
-    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "lexsweep"
-    lib = cache / f"lbfs_kernel-{key}.so"
-    if lib.exists():
-        return lib
-    cache.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cache, suffix=".so.tmp")
-    os.close(fd)
-    try:
-        subprocess.run(
-            [cc_path, "-O2", "-shared", "-fPIC", "-I", include, "-o", tmp,
-             str(_KERNEL_SOURCE)],
-            check=True, capture_output=True, text=True,
-        )
-        os.replace(tmp, lib)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return lib
-
-
-@functools.lru_cache(maxsize=None)
-def _warn_fallback(reason: str) -> None:
-    warnings.warn(
-        f"LBFS runs on the pure-Python core, not the C kernel: {reason}",
-        RuntimeWarning,
-        stacklevel=4,
-    )
-

@@ -1,9 +1,11 @@
 import math
 import random
+import warnings
 from itertools import combinations, permutations
 
 import pytest
 
+from lexsweep import graph
 from lexsweep import (
     Graph,
     GraphError,
@@ -15,7 +17,11 @@ from lexsweep import (
     induced_subgraph,
 )
 
-from conftest import all_graphs, complete, cycle, graph_from_mask, path, random_graph
+from lexsweep._kernel import _kernel
+
+from conftest import (
+    all_graphs, all_pairs, complete, cycle, graph_from_mask, needs_cc, path, random_graph,
+)
 
 
 class TestConstruction:
@@ -50,6 +56,132 @@ class TestConstruction:
             for v in g.neighbors(u):
                 assert u in g.adjsets[v]
         assert g.m * 2 == sum(g.degree(v) for v in range(g.n))
+
+
+def fallback_graph(n, edges):
+    """Graph(n, edges) built by the pure-Python fallback."""
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(graph, "_kernel", lambda: (None, "forced off"))
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return Graph(n, edges)
+
+
+def assert_builds_agree(n, make_edges):
+    # make_edges gives a fresh copy of the input, which may be a generator
+    g = Graph(n, make_edges())
+    want = fallback_graph(n, make_edges())
+    assert g == want and g.adj == want.adj and g.m == want.m
+    assert all(type(row) is tuple for row in g.adj)
+    # every row holds the same int object for a vertex
+    ids = {}
+    assert all(ids.setdefault(w, w) is w for row in g.adj for w in row)
+
+
+@needs_cc
+class TestCBuilder:
+    """`Graph.__init__` builds adjacency in the C kernel; the Python loop
+    it falls back to must give the same graph and the same errors."""
+
+    def test_kernel_builds(self):
+        lib, reason = _kernel()
+        assert lib is not None, reason
+        adj = lib.graph_adj(4, [(0, 1), (2, 1), (1, 0), [3, 2]])
+        assert adj == ((1,), (0, 2), (1, 3), (2,))
+        assert adj[0][0] is adj[2][0]
+
+    def test_every_labeled_graph_up_to_5(self):
+        for n in range(6):
+            pairs = all_pairs(n)
+            for mask in range(1 << len(pairs)):
+                edges = [pairs[k] for k in range(len(pairs)) if (mask >> k) & 1]
+                assert_builds_agree(n, lambda: edges)
+
+    def test_random_edge_lists(self, rng):
+        for _ in range(250):
+            n = rng.randrange(2, 40)
+            edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(3 * n))]
+            # duplicates, reversed copies and lists as well as tuples
+            edges += [e[::-1] for e in rng.sample(edges, len(edges) // 3)]
+            edges += rng.sample(edges, len(edges) // 4)
+            edges = [list(e) if rng.random() < 0.2 else e for e in edges]
+            rng.shuffle(edges)
+            assert_builds_agree(n, lambda: edges)
+
+    def test_other_inputs(self):
+        np = pytest.importorskip("numpy")
+        pairs = [(0, 1), (1, 2), (3, 1), (1, 0)]
+        for n, make in [
+            (0, lambda: []),
+            (0, lambda: ()),
+            (6, lambda: []),
+            (6, lambda: pairs),
+            (6, lambda: iter(pairs)),
+            (6, lambda: (e for e in pairs)),
+            (6, lambda: tuple(pairs)),
+            (6, lambda: set(pairs)),
+            (6, lambda: [list(e) for e in pairs]),
+            (6, lambda: [(True, 2), (False, True)]),
+            (6, lambda: [(np.int64(u), np.int64(v)) for u, v in pairs]),
+            (6, lambda: np.array(pairs)),
+            (6, lambda: [(0, 1), (np.int32(3), 4), (4, 5)]),
+            # ids above 256, which Python does not cache
+            (1000, lambda: [(i, (7 * i + 1) % 1000) for i in range(0, 1000, 3)]),
+            (np.int64(6), lambda: pairs),
+        ]:
+            assert_builds_agree(n, make)
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (3, [(0, -1)]),
+            (3, [(3, 0)]),
+            (3, [(0, 2**63)]),
+            (3, [(-2**63 - 1, 0)]),
+            (3, [(2**100, 1)]),
+            (3, [(0, 1), (2, 2)]),
+            (3, [(5, 5)]),
+            (3, [(0, 1), (1, 1), (0, 3)]),
+            (3, [(0, 1), (0, 3), (1, 1)]),
+            (3, [(0, 1), (0, 1.0), (0, 3)]),
+            (3, [(0, 1), 5]),
+            (3, [(0, 1, 2)]),
+            (3, [[0, 1, 2]]),
+            (3, [(0,)]),
+            (3, [("0", 1)]),
+            (3, [(5, "a")]),
+            (3, [(0, 1.0)]),
+            (3, [(0, 5.0)]),
+            (3, [(1.0, 1.0)]),
+            (-1, []),
+            (-1, [(0, 1)]),
+            (2.5, []),
+        ],
+        ids=["negative", "n", "2**63", "-2**63-1", "2**100", "self-loop",
+             "out-of-range-loop", "first-bad-wins-loop", "first-bad-wins-range",
+             "first-bad-wins-float", "non-pair", "3-tuple", "3-list", "1-tuple",
+             "str", "range-before-str", "float", "float-out-of-range",
+             "float-loop", "negative-n", "negative-n-with-edges", "float-n"],
+    )
+    def test_bad_input_raises_the_same_error(self, n, edges):
+        with pytest.raises(Exception) as c_build:
+            Graph(n, edges)
+        with pytest.raises(Exception) as python_build:
+            fallback_graph(n, edges)
+        assert type(c_build.value) is type(python_build.value)
+        assert str(c_build.value) == str(python_build.value)
+
+    def test_reports_the_first_bad_edge(self):
+        lib, reason = _kernel()
+        assert lib is not None, reason
+        assert lib.graph_adj(3, [(0, 1), (0, 3), (1, 1)]) == 1
+        assert lib.graph_adj(3, [(0, 1), [1, 2], (2, 2), (0, 3)]) == 2
+        assert lib.graph_adj(0, [(0, 0)]) == 0
+        # a pair it does not read is left to the Python loop
+        assert lib.graph_adj(3, [(0, 1), (0, 1.0), (0, 3)]) is None
+        with pytest.raises(TypeError):
+            lib.graph_adj(3, ((0, 1),))
+        with pytest.raises(ValueError):
+            lib.graph_adj(-1, [])
 
 
 class TestComplement:

@@ -26,7 +26,7 @@ from lexsweep import (
     lbfs_reachable,
     lmpn,
 )
-from lexsweep import search
+from lexsweep import _kernel, search
 
 from conftest import all_graphs, complete, cycle, needs_cc, path, random_graph
 
@@ -97,6 +97,15 @@ class TestLbfsPlus:
         with pytest.raises(OrderingError):
             lbfs(path(4), 0, PriorRightmost(Ordering((0, 1, 2))))
 
+    def test_ordering_prior_of_wrong_length(self):
+        # an Ordering prior is checked only for its length, so one that is
+        # a permutation of too many vertices must still be refused
+        for prior in (Ordering((0, 1, 2)), Ordering((4, 0, 1, 2, 3))):
+            with pytest.raises(OrderingError):
+                lbfs_plus(path(4), prior)
+            with pytest.raises(OrderingError):
+                lbfs(path(4), 0, PriorRightmost(prior))
+
     def test_empty_graph(self):
         assert lbfs_plus(Graph(0), Ordering(())).seq == ()
 
@@ -146,18 +155,20 @@ class TestEngineEquivalence:
         "cc", ["no-such-compiler-lexsweep", sys.executable], ids=["missing", "broken"]
     )
     def test_fallback_warns_once(self, rng, monkeypatch, cc):
-        # without a working compiler LBFS still runs, on the Python core,
-        # and says so once
+        # without a working compiler graphs are still built and LBFS still
+        # runs, both in pure Python, and the library says so once, with
+        # the reason
         monkeypatch.setenv("CC", cc)
         search._kernel.cache_clear()
         search._warn_fallback.cache_clear()
         try:
             assert search.kernel_backend() == "python"
-            g = random_graph(20, 0.3, rng)
             with pytest.warns(RuntimeWarning, match="pure-Python") as record:
+                g = random_graph(20, 0.3, rng)
                 for s in range(g.n):
                     assert lbfs(g, s) == lbfs_naive(g, s)
             assert len(record) == 1
+            assert search._kernel()[1] in str(record[0].message)
         finally:
             search._kernel.cache_clear()
             search._warn_fallback.cache_clear()
@@ -191,8 +202,8 @@ class TestEngineEquivalence:
 
 @needs_cc
 class TestKernelBoundary:
-    """The C kernel takes ``(Graph.adj, start, prio list)`` and returns the
-    visit order as a tuple, or raises; it never reads out of bounds."""
+    """The C refinement takes ``(Graph.adj, start, prio list)`` and returns
+    the visit order as a tuple, or raises; it never reads out of bounds."""
 
     @pytest.mark.parametrize(
         "adj, start, prio, error",
@@ -216,15 +227,15 @@ class TestKernelBoundary:
              "neighbour-negative", "list-row", "duplicate-neighbour", "list-adj"],
     )
     def test_malformed_input_raises(self, adj, start, prio, error):
-        kernel, reason = search._kernel()
-        assert kernel is not None, reason
+        lib, reason = search._kernel()
+        assert lib is not None, reason
         with pytest.raises(error):
-            kernel(adj, start, prio)
+            lib.lbfs_refine(adj, start, prio)
 
     def test_returns_a_tuple(self):
-        kernel, reason = search._kernel()
-        assert kernel is not None, reason
-        assert kernel(cycle(4).adj, 0, [0, 1, 2, 3]) == (0, 1, 3, 2)
+        lib, reason = search._kernel()
+        assert lib is not None, reason
+        assert lib.lbfs_refine(cycle(4).adj, 0, [0, 1, 2, 3]) == (0, 1, 3, 2)
 
     def test_sweeps_match_the_fallback(self, rng, monkeypatch):
         cases = []
@@ -254,7 +265,7 @@ class TestKernelBoundary:
         include = sysconfig.get_paths()["include"]
         res = subprocess.run(
             [cc, "-Wall", "-Wextra", "-Werror", "-fsyntax-only", "-I", include,
-             str(search._KERNEL_SOURCE)],
+             str(_kernel._SOURCE)],
             capture_output=True, text=True,
         )
         assert res.returncode == 0, res.stderr
