@@ -4,6 +4,11 @@ Each check is total over arbitrary inputs and returns a CheckReport
 whose failure witness can be replayed independently. Internally the
 checks work in position space with bitmasks: ``nbpos[v]`` holds one bit
 per position occupied by a neighbour of v.
+
+The umbrella, 4-point and C4 checks share one scan, `_first_bad_triple`,
+over the bad triples x < y < z (xz in E, xy not in E). Since z is a
+neighbour of x right of y, y is only tried at positions before x's last
+neighbour.
 """
 from __future__ import annotations
 
@@ -65,68 +70,54 @@ def _lowest_bit_index(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def _first_bad_triple(g: Graph, sigma: Ordering, kind: str) -> Optional[BadTriple]:
+    """First bad triple (x, y, z), by positions, that violates the clause
+    ``kind`` names (as in `replay_bad_triple`): "umbrella", yz is a
+    non-edge; "lbfs", no w left of x has wy in E and wz not in E; "c4",
+    no such w is also adjacent to x."""
+    _require_cover(g, sigma)
+    seq = sigma.seq
+    nbpos = _neighbour_position_masks(g, sigma)
+    for i in range(g.n):
+        nx = nbpos[seq[i]]
+        # y: a later non-neighbour of x, before x's last neighbour
+        ys = ~nx & (-1 << (i + 1)) & ((1 << nx.bit_length()) - 1)
+        left = (nx if kind == "c4" else -1) & ((1 << i) - 1)
+        while ys:
+            j = _lowest_bit_index(ys)
+            ys &= ys - 1
+            ny = nbpos[seq[j]]
+            zs = nx & (-1 << (j + 1))
+            if kind == "umbrella":
+                zs &= ~ny
+            else:
+                # drop each z that a witness w (left of x, adjacent to y,
+                # and to x for "c4") is not adjacent to
+                ws = ny & left
+                while zs and ws & ~nbpos[seq[_lowest_bit_index(zs)]]:
+                    zs &= zs - 1
+            if zs:
+                return BadTriple(seq[i], seq[j], seq[_lowest_bit_index(zs)])
+    return None
+
+
+def _report(bad: Optional[BadTriple]) -> CheckReport:
+    return CheckReport(PASS) if bad is None else CheckReport(FAIL, bad)
+
+
 def is_umbrella_free(g: Graph, sigma: Ordering) -> CheckReport:
     """No triple x < y < z with xz in E but xy, yz both non-edges.
 
     Failure carries the lexicographically-first violating triple by
     positions.
     """
-    _require_cover(g, sigma)
-    n = g.n
-    seq = sigma.seq
-    nbpos = _neighbour_position_masks(g, sigma)
-    for i in range(n):
-        x = seq[i]
-        # y candidates: later non-neighbours of x, scanned left to right
-        ys = ~nbpos[x] & (-1 << (i + 1)) & ((1 << n) - 1)
-        if not ys:
-            continue
-        nx = nbpos[x]
-        while ys:
-            j = _lowest_bit_index(ys)
-            ys &= ys - 1
-            y = seq[j]
-            zs = nx & ~nbpos[y] & (-1 << (j + 1))
-            if zs:
-                return CheckReport(FAIL, BadTriple(x, y, seq[_lowest_bit_index(zs)]))
-    return CheckReport(PASS)
-
-
-def _first_unwitnessed_triple(
-    g: Graph, sigma: Ordering, adjacent_to_x: bool
-) -> Optional[BadTriple]:
-    """First bad triple (x, y, z), by positions, with no w left of x that
-    is adjacent to y and not to z (and, with ``adjacent_to_x``, also
-    adjacent to x)."""
-    n = g.n
-    seq = sigma.seq
-    nbpos = _neighbour_position_masks(g, sigma)
-    for i in range(n):
-        x = seq[i]
-        nx = nbpos[x]
-        left = (nx if adjacent_to_x else -1) & ((1 << i) - 1)
-        ys = ~nx & (-1 << (i + 1)) & ((1 << n) - 1)
-        while ys:
-            j = _lowest_bit_index(ys)
-            ys &= ys - 1
-            y = seq[j]
-            ny_left = nbpos[y] & left
-            zs = nx & (-1 << (j + 1))
-            while zs:
-                k = _lowest_bit_index(zs)
-                zs &= zs - 1
-                z = seq[k]
-                if not (ny_left & ~nbpos[z]):
-                    return BadTriple(x, y, z)
-    return None
+    return _report(_first_bad_triple(g, sigma, "umbrella"))
 
 
 def is_lbfs_ordering(g: Graph, sigma: Ordering) -> CheckReport:
     """4-Point Condition: every bad triple (x, y, z) admits a private
     neighbour of y over z strictly left of x."""
-    _require_cover(g, sigma)
-    bad = _first_unwitnessed_triple(g, sigma, adjacent_to_x=False)
-    return CheckReport(PASS) if bad is None else CheckReport(FAIL, bad)
+    return _report(_first_bad_triple(g, sigma, "lbfs"))
 
 
 def check_flip_pair(g: Graph, sigma: Ordering, tau: Ordering) -> CheckReport:
@@ -153,16 +144,12 @@ def check_c4_property(g: Graph, sigma: Ordering) -> CheckReport:
     Preconditions (umbrella-free, 4-point) are verified; a violation
     yields a not-applicable verdict carrying the precondition witness.
     """
-    _require_cover(g, sigma)
-    pre = is_umbrella_free(g, sigma)
-    if not pre:
-        return CheckReport(NOT_APPLICABLE, ("umbrella-free", pre.witness))
-    pre = is_lbfs_ordering(g, sigma)
-    if not pre:
-        return CheckReport(NOT_APPLICABLE, ("lbfs-ordering", pre.witness))
+    for pre, kind in (("umbrella-free", "umbrella"), ("lbfs-ordering", "lbfs")):
+        bad = _first_bad_triple(g, sigma, kind)
+        if bad is not None:
+            return CheckReport(NOT_APPLICABLE, (pre, bad))
     # w left of x, adjacent to x and y, not to z
-    bad = _first_unwitnessed_triple(g, sigma, adjacent_to_x=True)
-    return CheckReport(PASS) if bad is None else CheckReport(FAIL, bad)
+    return _report(_first_bad_triple(g, sigma, "c4"))
 
 
 def replay_bad_triple(

@@ -1,9 +1,11 @@
 """Graph-class machinery: recognition, forbidden patterns, generators.
 
-Cocomparability recognition follows the repeated-sweep route (a graph is
-cocomparability iff some of the first n+1 sweeps is umbrella-free).
-`cocomp_oracle` is the exact polynomial test it is checked against:
-Gallai's implication classes on the complement (Golumbic, ch. 5).
+Cocomparability recognition follows the repeated-sweep route: "no" when
+none of the first n+1 sweeps is umbrella-free. That this is exact is the
+multisweep conjecture, not a theorem; the tests check it against
+`cocomp_oracle`, the exact polynomial test by Gallai's implication
+classes on the complement (Golumbic, ch. 5). A "yes" carries its
+umbrella-free sweep.
 Generators emit graphs together with a provenance witness.
 """
 from __future__ import annotations
@@ -134,30 +136,37 @@ def pattern_graph(which: str) -> Graph:
 # -- recognition -------------------------------------------------------------
 
 
+def _first_umbrella_free(
+    eng: SweepEngine, cur: Tuple[int, ...], sweeps: int
+) -> Optional[Ordering]:
+    """The first umbrella-free ordering among cur and the next `sweeps`
+    LBFS+ sweeps from it, or None."""
+    sigma = Ordering(cur)
+    while not is_umbrella_free(eng.g, sigma):
+        if not sweeps:
+            return None
+        sweeps -= 1
+        sigma = Ordering(eng.step(sigma.seq))
+    return sigma
+
+
 def is_cocomparability(g: Graph) -> Tuple[bool, Optional[Ordering]]:
     """Repeated-sweep recognition.
 
     Runs one LBFS then n further LBFS+ sweeps; true iff some sweep is
     umbrella-free, returning the first such ordering as witness.
     """
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         return True, Ordering(())
-    eng = SweepEngine(g)
-    cur = lbfs(g, 0, MIN_INDEX).seq
-    for _ in range(n + 1):
-        sigma = Ordering(cur)
-        if is_umbrella_free(g, sigma):
-            return True, sigma
-        cur = eng.step(cur)
-    return False, None
+    sigma = _first_umbrella_free(SweepEngine(g), lbfs(g, 0, MIN_INDEX).seq, g.n)
+    return sigma is not None, sigma
 
 
 def _random_cocomp_starts(
     g: Graph, count: int, rng: random.Random
 ) -> List[Ordering]:
-    """Cocomparability orderings found as umbrella-free sweeps from random
-    starts; requires g to be a cocomparability graph."""
+    """Cocomparability orderings: the first umbrella-free one of the n + 2
+    sweeps after each random start; requires g to be cocomparability."""
     eng = SweepEngine(g)
     found: List[Ordering] = []
     attempts = 0
@@ -167,13 +176,9 @@ def _random_cocomp_starts(
             raise RuntimeError("could not find umbrella-free sweeps")
         perm = list(range(g.n))
         rng.shuffle(perm)
-        cur = tuple(perm)
-        for _ in range(g.n + 2):
-            cur = eng.step(cur)
-            sigma = Ordering(cur)
-            if is_umbrella_free(g, sigma):
-                found.append(sigma)
-                break
+        sigma = _first_umbrella_free(eng, eng.step(tuple(perm)), g.n + 1)
+        if sigma is not None:
+            found.append(sigma)
     return found
 
 

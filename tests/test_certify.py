@@ -16,7 +16,7 @@ from lexsweep import (
     lbfs_reachable,
     gen_poset_cocomp,
 )
-from lexsweep.certify import replay_bad_triple
+from lexsweep.certify import _first_bad_triple, replay_bad_triple
 
 from conftest import all_graphs, complete, cycle, path, random_graph
 
@@ -37,27 +37,74 @@ class TestUmbrellaFree:
             assert is_umbrella_free(complete(n), Ordering(perm)).ok
 
     def test_matches_triple_scan(self, rng):
-        def brute(g, sigma):
+        # each check reports the first triple, by positions, that
+        # replay_bad_triple accepts for its kind; check_c4_property first
+        # reports its umbrella-free, then its 4-point precondition
+        def brute(g, sigma, kind):
             seq = sigma.seq
             for i in range(g.n):
                 for j in range(i + 1, g.n):
                     for k in range(j + 1, g.n):
-                        x, y, z = seq[i], seq[j], seq[k]
-                        if g.has_edge(x, z) and not g.has_edge(x, y) and not g.has_edge(y, z):
-                            return (x, y, z)
+                        t = BadTriple(seq[i], seq[j], seq[k])
+                        if replay_bad_triple(g, sigma, t, kind):
+                            return t
             return None
 
+        preconditions = (("umbrella-free", "umbrella"), ("lbfs-ordering", "lbfs"))
+
+        def expected(g, sigma, kind):
+            if kind == "c4":
+                for pre, pre_kind in preconditions:
+                    t = brute(g, sigma, pre_kind)
+                    if t is not None:
+                        return ("not-applicable", (pre, t))
+            t = brute(g, sigma, kind)
+            return ("pass", None) if t is None else ("fail", t)
+
+        checks = {
+            "umbrella": is_umbrella_free,
+            "lbfs": is_lbfs_ordering,
+            "c4": check_c4_property,
+        }
+        cases = [
+            (g, Ordering(perm))
+            for n in range(0, 5)
+            for g in all_graphs(n)
+            for perm in permutations(range(n))
+        ]
         for _ in range(200):
             g = random_graph(rng.randrange(1, 9), rng.random(), rng)
             perm = list(range(g.n))
             rng.shuffle(perm)
-            sigma = Ordering(perm)
-            rep = is_umbrella_free(g, sigma)
-            expected = brute(g, sigma)
-            if expected is None:
-                assert rep.ok
-            else:
-                assert rep.witness.as_tuple() == expected
+            # an LBFS ordering too: on a random one the first C4-clause
+            # violation is almost always the first 4-point one
+            cases += [(g, Ordering(perm)), (g, lbfs(g, rng.randrange(g.n)))]
+        seen = set()
+        c4_differs = 0
+        for g, sigma in cases:
+            firsts = {}
+            for kind, check in checks.items():
+                first = firsts[kind] = brute(g, sigma, kind)
+                assert _first_bad_triple(g, sigma, kind) == first
+                rep = check(g, sigma)
+                assert (rep.verdict, rep.witness) == expected(g, sigma, kind)
+                pre = rep.witness[0] if rep.verdict == "not-applicable" else None
+                seen.add((kind, first is None, rep.verdict, pre))
+            c4_differs += firsts["c4"] != firsts["lbfs"]
+        assert c4_differs > 0
+        # every branch is reached; the C4 clause fails wherever the 4-point
+        # clause does, and here only where a precondition fails (the LBFS
+        # C4 property)
+        assert seen == {
+            ("umbrella", True, "pass", None),
+            ("umbrella", False, "fail", None),
+            ("lbfs", True, "pass", None),
+            ("lbfs", False, "fail", None),
+            ("c4", True, "pass", None),
+            ("c4", True, "not-applicable", "umbrella-free"),
+            ("c4", False, "not-applicable", "umbrella-free"),
+            ("c4", False, "not-applicable", "lbfs-ordering"),
+        }
 
     def test_wrong_cover_rejected(self):
         with pytest.raises(OrderingError):

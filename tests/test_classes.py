@@ -1,3 +1,5 @@
+import random
+import time
 from itertools import permutations
 
 import pytest
@@ -6,6 +8,7 @@ from lexsweep import (
     Graph,
     GraphError,
     GenerationExhausted,
+    Ordering,
     classify,
     cocomp_oracle,
     complement,
@@ -18,11 +21,15 @@ from lexsweep import (
     is_interval,
     is_umbrella_free,
     k_ladder,
+    lbfs,
+    lbfs_plus,
     named,
     pattern_free,
     pattern_graph,
 )
 import lexsweep.classes as classes
+from lexsweep.lexcycle import SweepEngine
+from lexsweep.search import MIN_INDEX
 
 from conftest import all_graphs, complete, cycle, path, random_graph
 
@@ -148,6 +155,57 @@ class TestRecognition:
     def test_c5_false(self):
         assert is_cocomparability(cycle(5)) == (False, None)
         assert not cocomp_oracle(cycle(5))
+        # C5 plus 295 isolated vertices: 301 umbrella checks, each of which
+        # stops at x's last neighbour instead of scanning every later y
+        g = Graph(300, cycle(5).edges())
+        start = time.perf_counter()
+        verdict = is_cocomparability(g)
+        elapsed = time.perf_counter() - start
+        assert verdict == (False, None) and not cocomp_oracle(g)
+        assert elapsed < 0.5, f"is_cocomparability took {elapsed:.2f} s"
+
+    def test_sweeps_checked_until_umbrella_free(self, monkeypatch):
+        # is_cocomparability checks the LBFS start and n sweeps of it, and
+        # sweeps no further; _random_cocomp_starts checks the n + 2 sweeps
+        # after each random start
+        g = cycle(5)
+        checked, swept = [], []
+        real_step = SweepEngine.step
+
+        def check(g, sigma):
+            checked.append(sigma.seq)
+            return is_umbrella_free(g, sigma)
+
+        def step(self, prior):
+            swept.append(prior)
+            return real_step(self, prior)
+
+        monkeypatch.setattr(classes, "is_umbrella_free", check)
+        monkeypatch.setattr(SweepEngine, "step", step)
+
+        def orbit(sigma, length):
+            out = []
+            for _ in range(length):
+                out.append(sigma.seq)
+                sigma = lbfs_plus(g, sigma)
+            return out
+
+        assert is_cocomparability(g) == (False, None)
+        assert checked == orbit(lbfs(g, 0, MIN_INDEX), g.n + 1)
+        assert swept == checked[:-1]
+
+        checked.clear()
+        swept.clear()
+        with pytest.raises(RuntimeError):
+            classes._random_cocomp_starts(g, 1, random.Random(3))
+        rng = random.Random(3)
+        expected = []
+        for _ in range(40):  # 20 * count + 20 attempts
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            expected += orbit(lbfs_plus(g, Ordering(perm)), g.n + 2)
+        assert checked == expected
+        assert len(swept) == len(checked)  # one sweep per checked ordering
 
     def test_ladder_true(self):
         assert is_cocomparability(k_ladder(2))[0]

@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -312,6 +314,66 @@ class TestRecognize:
         inp.write_text("\x01\x02 nonsense\n")
         code, _, err = run(capsys, ["recognize", "--input", str(inp)])
         assert code == 2 and records(err)[0]["error"] == "FormatError"
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Seeded commands whose records must stay byte-identical: the sha256 of the
+# records before the aggregate footer, the footer's (count, pass, fail,
+# not_applicable, error) and the exit code. The cocomp run emits one
+# failure record.
+SEEDED_THEOREM_RUNS = [
+    (
+        ["--class", "p2p3bar-free-cocomp", "--count", "100", "--n-min", "2",
+         "--n-max", "12", "--seed", "0"],
+        "c2dbbdce024d5426204a7cbb95e9fa6dd53871849cb961d46f88e5baeaff7581",
+        (100, 100, 0, 0, 0),
+        0,
+    ),
+    (
+        ["--class", "interval", "--count", "100", "--seed", "0"],
+        "154c244b2a6138e5eb79dc6c9e119576098e673231ba51c2e592c2f13fd48659",
+        (100, 100, 0, 0, 0),
+        0,
+    ),
+    (
+        ["--class", "cocomp", "--count", "50", "--seed", "5", "--extra-starts", "2"],
+        "9bf43ab90656b26282cdd72b7a4d074787ab112e92af296183af23ef5fef0235",
+        (50, 49, 1, 0, 0),
+        1,
+    ),
+]
+
+
+class TestSeededOutput:
+    @pytest.mark.parametrize(
+        "args, digest, counts, exit_code", SEEDED_THEOREM_RUNS,
+        ids=["p2p3bar-free-cocomp", "interval", "cocomp"],
+    )
+    def test_check_theorem_records(self, capsys, args, digest, counts, exit_code):
+        bodies = []
+        for jobs in ("1", "2"):
+            code, out, _ = run(capsys, ["check-theorem", *args, "--jobs", jobs])
+            assert code == exit_code
+            *body, footer = out.splitlines(keepends=True)
+            agg = json.loads(footer)
+            assert agg["record"] == "aggregate"
+            assert (agg["count"], agg["pass"], agg["fail"], agg["not_applicable"],
+                    agg["error"]) == counts
+            bodies.append(body)
+        assert bodies[0] == bodies[1]
+        assert sha256("".join(bodies[0])) == digest
+
+    def test_lexcycle_exact_records(self, capsys, monkeypatch):
+        _, graph6, _ = run(capsys, ["generate", "--named", "k_ladder", "--k", "4"])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(graph6))
+        code, out, _ = run(capsys, ["lexcycle", "--exact"])
+        assert code == 0
+        assert sha256(out) == (
+            "bc0bc287069604d3c9a1dd0480beae5d4926c1498669c6e51b4857e982c91efd"
+        )
 
 
 def test_import_leaves_out_process_pools():

@@ -1,5 +1,7 @@
+import json
 import random
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -11,9 +13,13 @@ from lexsweep import (
     PriorRightmost,
     SizeGuardError,
     SweepEngine,
+    check_c4_property,
+    classify,
     detect_orbit,
+    from_graph6,
     gen_interval,
     gen_poset_cocomp,
+    is_lbfs_ordering,
     is_umbrella_free,
     k_ladder,
     lbfs_naive,
@@ -236,3 +242,21 @@ class TestTheoremCheck:
             assert any(
                 is_umbrella_free(g, o).ok for o in res.trace[: g.n + 1]
             )
+
+    def test_sigma1_ne_sigma3_fixture_replays(self):
+        # the smallest graph with an umbrella-free LBFS ordering sigma0 from
+        # which sigma1 != sigma3: it contains p2p3bar, so the theorem does
+        # not apply, and its LexCycle is still 2
+        data = Path(__file__).parent / "data" / "sigma1_ne_sigma3.json"
+        for case in json.loads(data.read_text()):
+            g = from_graph6(case["graph6"])
+            sigma0 = Ordering(case["sigma0"])
+            for check in (is_umbrella_free, is_lbfs_ordering, check_c4_property):
+                assert check(g, sigma0).ok
+            rep = theorem_check(g, sigma0.reverse())
+            assert rep.verdict == "fail"
+            assert [list(s.seq) for s in rep.sweeps] == case["sweeps"]
+            assert rep.diff_pos == case["diff_pos"]
+            assert list(rep.diff_pair) == case["diff_pair"]
+            assert classify(g) == {"cocomparability"}
+            assert lexcycle_exact(g).value == 2
