@@ -1,10 +1,24 @@
 """The compiled kernel: `_lbfs_kernel.c`, built on first use and loaded
 with ctypes.
 
-The library holds two functions: `graph_adj`, which `Graph.__init__`
-calls to build adjacency rows, and `lbfs_refine`, which `search._refine`
-calls for every LBFS. When it cannot be built or loaded, each caller runs
-its pure-Python fallback, which gives identical output, after
+The library holds two functions, which share one packed graph format,
+the CSR: a `bytes` object of native int32 words, the row offsets
+``off[0..n]`` and then the sorted rows (2m words), row v at words
+``n + 1 + off[v]`` up to ``n + 1 + off[v + 1]``.
+
+- ``graph_adj(n, edges)``, called by `Graph.__init__` on a list of edges,
+  returns ``(adj, csr)``: `Graph.adj` (sorted rows of shared int objects)
+  and `Graph._csr`. It returns None at the first edge that is not a tuple
+  or list of two ints, and the index of the first edge out of range or a
+  self-loop. It raises ValueError unless n < 2**31 and 2m < 2**31.
+- ``lbfs_refine(csr, start, prior)``, called by `search._refine` for every
+  LBFS, runs LBFS from ``start`` with ties toward the vertex rightmost in
+  ``prior`` (a tuple or list). It returns ``(seq, pos)``, the visit order
+  and its inverse, or None when ``prior`` is not a permutation of the
+  vertices, and raises on any other malformed input.
+
+When the library cannot be built or loaded, each caller runs its
+pure-Python fallback, which gives identical output, after
 `_warn_fallback` has said why, once.
 """
 from __future__ import annotations
@@ -41,15 +55,15 @@ def _kernel():
         return None, f"{cc!r} failed to build the C kernel: {exc.stderr.strip()}"
     except OSError as exc:
         return None, f"the C kernel could not be built or loaded: {exc}"
-    lib.lbfs_refine.argtypes = [ctypes.py_object, ctypes.c_int64, ctypes.py_object]
+    lib.lbfs_refine.argtypes = [ctypes.py_object] * 3
     lib.graph_adj.argtypes = [ctypes.py_object, ctypes.py_object]
     lib.lbfs_refine.restype = lib.graph_adj.restype = ctypes.py_object
     return lib, None
 
 
 def _build_kernel(cc_path: str) -> Path:
-    # The kernel reads Python tuples, so it is built against this
-    # interpreter's headers. The library name hashes the source, the
+    # The kernel reads and returns Python objects, so it is built against
+    # this interpreter's headers. The library name hashes the source, the
     # compiler and the interpreter ABI, so a change to any of them builds
     # afresh. Building to a temporary name and renaming it into place
     # keeps concurrent worker processes from loading a half-written file.

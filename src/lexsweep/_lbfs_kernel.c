@@ -1,9 +1,15 @@
 /* The compiled kernel: ordered partition refinement LBFS (lbfs_refine)
- * and the adjacency rows of Graph (graph_adj).
+ * and the adjacency of Graph (graph_adj).
  *
  * Built on first use and loaded with ctypes.PyDLL by lexsweep._kernel, so
  * the caller holds the GIL. Each function returns a new Python object, or
  * NULL with a Python exception set.
+ *
+ * Both share one packed graph format, the CSR (compressed sparse rows): a
+ * bytes object of native int32 words, the row offsets off[0..n] (off[0] is
+ * 0, off[n] is 2m) and then the rows, row v being words n + 1 + off[v] up
+ * to n + 1 + off[v + 1], its neighbours in increasing order. int32 ids and
+ * offsets limit a graph to n < 2**31 vertices and 2m < 2**31 row entries.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -11,17 +17,20 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* graph_adj builds Graph.adj for Graph.__init__ as compressed rows (CSR).
+#define INT32_LIMIT ((Py_ssize_t)1 << 31)
+
+/* graph_adj builds Graph.adj and Graph._csr for Graph.__init__.
  *
  * n is the vertex count and edges a list of pairs, read once, in order.
- * Returns a tuple of n tuples, row v listing the neighbours of v in
- * increasing order without repeats, all rows sharing one int object per
- * vertex (a scan of a large graph, the LBFS kernel's above all, then reads
- * a compact block of ints, not 2m objects scattered over the heap). It
- * stops early at the first edge that is not a tuple or list of two ints,
+ * Returns (adj, csr): adj is a tuple of n tuples, row v listing the
+ * neighbours of v in increasing order without repeats, all rows sharing
+ * one int object per vertex; csr holds the same rows packed. It stops
+ * early at the first edge that is not a tuple or list of two ints,
  * returning None, so that Graph.__init__ reads the edges in Python; or at
  * the first edge out of range (huge ints included) or a self-loop,
- * returning its index, for Graph.__init__ to raise its GraphError.
+ * returning its index, for Graph.__init__ to raise its GraphError. Raises
+ * ValueError, before allocating anything, unless n < 2**31 and
+ * 2 * len(edges) < 2**31.
  */
 PyObject *graph_adj(PyObject *n_arg, PyObject *edges)
 {
@@ -31,19 +40,24 @@ PyObject *graph_adj(PyObject *n_arg, PyObject *edges)
     if (n == -1 && PyErr_Occurred())
         return NULL;
     Py_ssize_t m = PyList_GET_SIZE(edges);
-    if (n < 0 || n > PY_SSIZE_T_MAX / 32 || m > PY_SSIZE_T_MAX / 32)
-        return PyErr_Format(PyExc_ValueError, "cannot build %zd vertices and %zd edges",
-                            n, m);
-    /* off: row starts (n + 1); at: fill cursors (n); ends: the endpoints as
-       read, later the sorted rows (2m); rows: the rows in input order (2m) */
-    int64_t *off = calloc(2 * n + 1 + 4 * m, sizeof *off);
+    if (n < 0 || n >= INT32_LIMIT || m >= INT32_LIMIT / 2)
+        return PyErr_Format(PyExc_ValueError,
+                            "cannot build %zd vertices and %zd edges: the int32 CSR "
+                            "needs n < 2**31 and 2m < 2**31", n, m);
+    /* off: row starts (n + 1); at: fill cursors (n); rows: the rows in
+       input order (2m). The endpoints as read, and then the sorted rows,
+       go straight into the CSR's row words. */
+    int32_t *off = calloc(2 * n + 1 + 2 * m, sizeof *off);
     PyObject **ids = calloc(n + 1, sizeof *ids);
-    PyObject *result = NULL;
-    if (!off || !ids) {
-        PyErr_NoMemory();
+    PyObject *csr = PyBytes_FromStringAndSize(NULL, (n + 1 + 2 * m) * sizeof(int32_t));
+    PyObject *adj = NULL, *result = NULL;
+    if (!off || !ids || !csr) {
+        if (!PyErr_Occurred())
+            PyErr_NoMemory();
         goto done;
     }
-    int64_t *at = off + n + 1, *ends = at + n, *rows = ends + 2 * m;
+    int32_t *at = off + n + 1, *rows = at + n;
+    int32_t *ends = (int32_t *)PyBytes_AS_STRING(csr) + n + 1;
 
     /* reading an int runs no Python code, so edges cannot change under us */
     for (Py_ssize_t i = 0; i < m; i++) {
@@ -63,7 +77,7 @@ PyObject *graph_adj(PyObject *n_arg, PyObject *edges)
                 result = PyLong_FromSsize_t(i);
                 goto done;
             }
-            ends[2 * i + k] = w;
+            ends[2 * i + k] = (int32_t)w;
             off[w + 1]++;
         }
         if (ends[2 * i] == ends[2 * i + 1]) {
@@ -77,7 +91,7 @@ PyObject *graph_adj(PyObject *n_arg, PyObject *edges)
     /* rows: the neighbours of each vertex in input order */
     memcpy(at, off, n * sizeof *at);
     for (Py_ssize_t i = 0; i < m; i++) {
-        int64_t u = ends[2 * i], v = ends[2 * i + 1];
+        int32_t u = ends[2 * i], v = ends[2 * i + 1];
         rows[at[u]++] = v;
         rows[at[v]++] = u;
     }
@@ -85,105 +99,158 @@ PyObject *graph_adj(PyObject *n_arg, PyObject *edges)
        increasing order of u. The graph is symmetric, so those u are the
        neighbours of v: ends now holds the rows sorted. */
     memcpy(at, off, n * sizeof *at);
-    for (Py_ssize_t u = 0; u < n; u++)
-        for (int64_t j = off[u]; j < off[u + 1]; j++)
+    for (int32_t u = 0; u < n; u++)
+        for (int32_t j = off[u]; j < off[u + 1]; j++)
             ends[at[rows[j]]++] = u;
+
+    /* a repeated edge gives a run of equal neighbours: keep one, packing
+       the rows to the left and writing the new offsets */
+    int32_t *csr_off = (int32_t *)PyBytes_AS_STRING(csr);
+    int32_t k = 0;
+    for (Py_ssize_t v = 0; v < n; v++) {
+        csr_off[v] = k;
+        for (int32_t j = off[v]; j < off[v + 1]; j++)
+            if (k == csr_off[v] || ends[j] != ends[k - 1])
+                ends[k++] = ends[j];
+    }
+    csr_off[n] = k;
+    if (k < 2 * m && _PyBytes_Resize(&csr, (n + 1 + k) * sizeof(int32_t)) < 0)
+        goto done;
+    csr_off = (int32_t *)PyBytes_AS_STRING(csr);
+    ends = csr_off + n + 1;
 
     for (Py_ssize_t v = 0; v < n; v++)
         if (!(ids[v] = PyLong_FromSsize_t(v)))
             goto done;
-    result = PyTuple_New(n);
-    for (Py_ssize_t v = 0; result && v < n; v++) {
-        /* a repeated edge gives a run of equal neighbours: keep one */
-        int64_t *row = ends + off[v];
-        Py_ssize_t deg = 0;
-        for (int64_t j = 0; j < off[v + 1] - off[v]; j++)
-            if (deg == 0 || row[j] != row[deg - 1])
-                row[deg++] = row[j];
+    if (!(adj = PyTuple_New(n)))
+        goto done;
+    for (Py_ssize_t v = 0; v < n; v++) {
+        Py_ssize_t deg = csr_off[v + 1] - csr_off[v];
         PyObject *t = PyTuple_New(deg);
-        if (!t) {
-            Py_CLEAR(result);
-            break;
-        }
+        if (!t)
+            goto done;
         for (Py_ssize_t j = 0; j < deg; j++)
-            PyTuple_SET_ITEM(t, j, Py_NewRef(ids[row[j]]));
-        PyTuple_SET_ITEM(result, v, t);
+            PyTuple_SET_ITEM(t, j, Py_NewRef(ids[ends[csr_off[v] + j]]));
+        PyTuple_SET_ITEM(adj, v, t);
     }
+    result = PyTuple_Pack(2, adj, csr);
 
 done:
     for (Py_ssize_t v = 0; ids && v < n; v++)
         Py_XDECREF(ids[v]);
     free(ids);
     free(off);
+    Py_XDECREF(adj);
+    Py_XDECREF(csr);
     return result;
 }
 
 /* lbfs_refine is the same algorithm as search._lbfs_core (Habib,
  * McConnell, Paul and Viennot, "Lex-BFS and partition refinement", TCS
- * 2000), over flat int64 work arrays. Unnumbered vertices occupy arr[p:],
+ * 2000), over flat int32 work arrays. Unnumbered vertices occupy arr[p:],
  * tiled by classes in label order; visiting u splits each class into
- * neighbours-first and non-neighbours. Within the head class the vertex of
- * smallest prio wins.
+ * neighbours-first and non-neighbours. Within the head class the vertex
+ * rightmost in prior wins.
  *
- * adj is Graph.adj, a tuple of n tuples of ints, each row read once, when
- * its vertex is numbered; prio is a list of n ints. Returns the visit
- * order as a new tuple of n ints. Raises TypeError or ValueError on
- * malformed input (out-of-range neighbours and repeats of unnumbered ones
- * included), MemoryError when the work arrays cannot be allocated.
+ * csr is Graph._csr, each row read once, when its vertex is numbered;
+ * prior is a tuple or list of n integers, start an integer. Returns None
+ * when prior is not a permutation of 0..n-1, say for an entry that is
+ * not an integer. Otherwise returns (seq, pos), two tuples that share one
+ * int object per vertex: seq is the visit order and pos its inverse,
+ * pos[seq[i]] == i. Raises TypeError or ValueError on other malformed
+ * input: a start out of range, or a csr that is not bytes, does not hold
+ * n vertices, or has offsets that decrease, an out-of-range neighbour or
+ * a repeat of an unnumbered one. Raises MemoryError when the work arrays
+ * cannot be allocated.
  */
-PyObject *lbfs_refine(PyObject *adj, int64_t start, PyObject *prio_list)
+PyObject *lbfs_refine(PyObject *csr, PyObject *start_arg, PyObject *prior)
 {
-    if (!PyTuple_Check(adj) || !PyList_Check(prio_list))
-        return PyErr_Format(PyExc_TypeError, "adj must be a tuple and prio a list");
-    Py_ssize_t n = PyTuple_GET_SIZE(adj);
-    if (PyList_GET_SIZE(prio_list) != n || start < 0 || start >= n)
+    if (!PyBytes_Check(csr) || !(PyTuple_Check(prior) || PyList_Check(prior)))
+        return PyErr_Format(PyExc_TypeError,
+                            "csr must be bytes and prior a tuple or list");
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(prior);
+    Py_ssize_t words = PyBytes_GET_SIZE(csr) / (Py_ssize_t)sizeof(int32_t);
+    const int32_t *off = (const int32_t *)PyBytes_AS_STRING(csr);
+    if (n >= INT32_LIMIT || PyBytes_GET_SIZE(csr) % sizeof(int32_t) || words < n + 1 ||
+        off[0] != 0 || off[n] < 0 || words != n + 1 + off[n])
         return PyErr_Format(PyExc_ValueError,
-                            "prio covers %zd vertices and start is %lld; graph has %zd",
-                            PyList_GET_SIZE(prio_list), (long long)start, n);
+                            "the csr of %zd words does not hold %zd vertices", words, n);
+    /* offsets that never decrease keep every row inside the buffer */
+    for (Py_ssize_t v = 0; v < n; v++)
+        if (off[v] > off[v + 1])
+            return PyErr_Format(PyExc_ValueError, "csr offset %zd decreases", v + 1);
+    const int32_t *nbrs = off + n + 1;
     /* prio, arr, loc, cls: n slots each; cstart, cend, moved (zeroed) and
        touched: cap each. A split adds one non-empty class and a step
        empties at most one, so at most n + 2 classes are ever created. */
-    int64_t cap = 2 * n + 4;
-    int64_t *prio = calloc(4 * n + 4 * cap, sizeof *prio);
-    if (!prio)
-        return PyErr_NoMemory();
-    int64_t *arr = prio + n, *loc = arr + n, *cls = loc + n, *cstart = cls + n;
-    int64_t *cend = cstart + cap, *moved = cend + cap, *touched = moved + cap;
-    PyObject *result = NULL;
+    Py_ssize_t cap = n + 2;
+    int32_t *prio = calloc(4 * n + 4 * cap, sizeof *prio);
+    PyObject **ids = calloc(n + 1, sizeof *ids);
+    PyObject *seq = NULL, *pos = NULL, *result = NULL;
+    if (!prio || !ids) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    int32_t *arr = prio + n, *loc = arr + n, *cls = loc + n, *cstart = cls + n;
+    int32_t *cend = cstart + cap, *moved = cend + cap, *touched = moved + cap;
 
-    for (int64_t v = 0; v < n; v++) {
-        /* PyLong_AsLongLong would call __index__ on a non-int, and that
-           could shrink the list under us */
-        PyObject *item = PyList_GET_ITEM(prio_list, v);
-        if (!PyLong_Check(item)) {
-            PyErr_Format(PyExc_TypeError, "prio[%lld] is not an int", (long long)v);
+    /* prio[v] = n - 1 - (position of v in prior), so the least prio is the
+       rightmost. An entry that is not an int is read through its
+       __index__, which may run Python code and change a list prior under
+       us, so the size is read afresh and the entry held while it runs. */
+    for (Py_ssize_t v = 0; v < n; v++)
+        prio[v] = -1;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (i >= PySequence_Fast_GET_SIZE(prior)) {
+            result = Py_NewRef(Py_None);
             goto done;
         }
-        prio[v] = PyLong_AsLongLong(item);
-        if (prio[v] == -1 && PyErr_Occurred())
+        PyObject *item = Py_NewRef(PySequence_Fast_GET_ITEM(prior, i));
+        Py_ssize_t v = PyNumber_AsSsize_t(item, NULL);
+        Py_DECREF(item);
+        if (v == -1 && PyErr_Occurred()) {
+            if (!PyErr_ExceptionMatches(PyExc_TypeError))
+                goto done;
+            PyErr_Clear();
+        }
+        if (v < 0 || v >= n || prio[v] != -1) {
+            result = Py_NewRef(Py_None);
             goto done;
+        }
+        prio[v] = (int32_t)(n - 1 - i);
+    }
+    Py_ssize_t start = PyNumber_AsSsize_t(start_arg, NULL);
+    if (start == -1 && PyErr_Occurred())
+        goto done;
+    if (start < 0 || start >= n) {
+        PyErr_Format(PyExc_ValueError, "start %zd is not a vertex of a graph on %zd",
+                     start, n);
+        goto done;
+    }
+
+    for (int32_t v = 0; v < n; v++) {
         arr[v] = v;
         loc[v] = v;
         cls[v] = 1;
     }
-    arr[0] = start;
+    arr[0] = (int32_t)start;
     arr[start] = 0;
-    loc[0] = start;
+    loc[0] = (int32_t)start;
     loc[start] = 0;
     cls[start] = 0;
     cstart[0] = 0;
     cend[0] = 1;
     cstart[1] = 1;
-    cend[1] = n;
-    int64_t nclasses = 2;
+    cend[1] = (int32_t)n;
+    int32_t nclasses = 2;
 
-    for (int64_t p = 0; p < n; p++) {
-        int64_t head = cls[arr[p]];
-        int64_t u = arr[p];
-        int64_t bp = prio[u];
-        int64_t bi = p;
-        for (int64_t i = p + 1; i < cend[head]; i++) {
-            int64_t v = arr[i];
+    for (int32_t p = 0; p < n; p++) {
+        int32_t head = cls[arr[p]];
+        int32_t u = arr[p];
+        int32_t bp = prio[u];
+        int32_t bi = p;
+        for (int32_t i = p + 1; i < cend[head]; i++) {
+            int32_t v = arr[i];
             if (prio[v] < bp) {
                 u = v;
                 bp = prio[v];
@@ -198,34 +265,26 @@ PyObject *lbfs_refine(PyObject *adj, int64_t start, PyObject *prio_list)
         }
         cstart[head] = p + 1;
 
-        PyObject *row = PyTuple_GET_ITEM(adj, u);
-        if (!PyTuple_Check(row)) {
-            PyErr_Format(PyExc_TypeError, "adj[%lld] is not a tuple", (long long)u);
-            goto done;
-        }
-        Py_ssize_t deg = PyTuple_GET_SIZE(row);
-        int64_t ntouched = 0;
-        for (Py_ssize_t e = 0; e < deg; e++) {
-            int64_t w = PyLong_AsLongLong(PyTuple_GET_ITEM(row, e));
+        int32_t ntouched = 0;
+        for (int32_t e = off[u]; e < off[u + 1]; e++) {
+            int32_t w = nbrs[e];
             /* a repeated neighbour already sits in [cstart, cstart + moved) */
             if (w < 0 || w >= n ||
                 (loc[w] > p && loc[w] < cstart[cls[w]] + moved[cls[w]])) {
-                if (!PyErr_Occurred())
-                    PyErr_Format(PyExc_ValueError, "neighbour %lld of vertex %lld "
-                                 "is out of range or repeated",
-                                 (long long)w, (long long)u);
+                PyErr_Format(PyExc_ValueError, "neighbour %d of vertex %d "
+                             "is out of range or repeated", (int)w, (int)u);
                 goto done;
             }
             if (loc[w] <= p)
                 continue;
-            int64_t c = cls[w];
-            int64_t mv = moved[c];
+            int32_t c = cls[w];
+            int32_t mv = moved[c];
             if (mv == 0)
                 touched[ntouched++] = c;
-            int64_t j = cstart[c] + mv;
-            int64_t i = loc[w];
+            int32_t j = cstart[c] + mv;
+            int32_t i = loc[w];
             if (i != j) {
-                int64_t x = arr[j];
+                int32_t x = arr[j];
                 arr[j] = w;
                 arr[i] = x;
                 loc[w] = j;
@@ -234,34 +293,43 @@ PyObject *lbfs_refine(PyObject *adj, int64_t start, PyObject *prio_list)
             moved[c] = mv + 1;
         }
         /* reset moved and split the touched classes */
-        for (int64_t t = 0; t < ntouched; t++) {
-            int64_t c = touched[t];
-            int64_t mv = moved[c];
+        for (int32_t t = 0; t < ntouched; t++) {
+            int32_t c = touched[t];
+            int32_t mv = moved[c];
             moved[c] = 0;
             if (mv < cend[c] - cstart[c]) {
-                int64_t nc = nclasses++;
-                int64_t ns = cstart[c];
-                int64_t ne = ns + mv;
+                int32_t nc = nclasses++;
+                int32_t ns = cstart[c];
+                int32_t ne = ns + mv;
                 cstart[nc] = ns;
                 cend[nc] = ne;
-                for (int64_t idx = ns; idx < ne; idx++)
+                for (int32_t idx = ns; idx < ne; idx++)
                     cls[arr[idx]] = nc;
                 cstart[c] = ne;
             }
         }
     }
 
-    /* arr[:n] now holds the visit order */
-    result = PyTuple_New(n);
-    for (int64_t p = 0; result && p < n; p++) {
-        PyObject *item = PyLong_FromLongLong(arr[p]);
-        if (!item)
-            Py_CLEAR(result);
-        else
-            PyTuple_SET_ITEM(result, p, item);
+    /* arr[:n] now holds the visit order and loc its inverse. The ints are
+       made in visit order, so that the next sweep, reading this one as
+       its prior, walks them in the order they lie in memory. */
+    for (Py_ssize_t i = 0; i < n; i++)
+        if (!(ids[arr[i]] = PyLong_FromSsize_t(arr[i])))
+            goto done;
+    if (!(seq = PyTuple_New(n)) || !(pos = PyTuple_New(n)))
+        goto done;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyTuple_SET_ITEM(seq, i, Py_NewRef(ids[arr[i]]));
+        PyTuple_SET_ITEM(pos, i, Py_NewRef(ids[loc[i]]));
     }
+    result = PyTuple_Pack(2, seq, pos);
 
 done:
+    for (Py_ssize_t v = 0; ids && v < n; v++)
+        Py_XDECREF(ids[v]);
+    free(ids);
     free(prio);
+    Py_XDECREF(seq);
+    Py_XDECREF(pos);
     return result;
 }

@@ -70,14 +70,19 @@ def _lowest_bit_index(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _first_bad_triple(g: Graph, sigma: Ordering, kind: str) -> Optional[BadTriple]:
+def _first_bad_triple(
+    g: Graph, sigma: Ordering, kind: str, nbpos: Optional[List[int]] = None
+) -> Optional[BadTriple]:
     """First bad triple (x, y, z), by positions, that violates the clause
     ``kind`` names (as in `replay_bad_triple`): "umbrella", yz is a
     non-edge; "lbfs", no w left of x has wy in E and wz not in E; "c4",
-    no such w is also adjacent to x."""
-    _require_cover(g, sigma)
+    no such w is also adjacent to x. A caller that scans several kinds
+    passes ``nbpos``, the `_neighbour_position_masks` of a covering sigma,
+    built once."""
+    if nbpos is None:
+        _require_cover(g, sigma)
+        nbpos = _neighbour_position_masks(g, sigma)
     seq = sigma.seq
-    nbpos = _neighbour_position_masks(g, sigma)
     for i in range(g.n):
         nx = nbpos[seq[i]]
         # y: a later non-neighbour of x, before x's last neighbour
@@ -144,12 +149,14 @@ def check_c4_property(g: Graph, sigma: Ordering) -> CheckReport:
     Preconditions (umbrella-free, 4-point) are verified; a violation
     yields a not-applicable verdict carrying the precondition witness.
     """
+    _require_cover(g, sigma)
+    nbpos = _neighbour_position_masks(g, sigma)
     for pre, kind in (("umbrella-free", "umbrella"), ("lbfs-ordering", "lbfs")):
-        bad = _first_bad_triple(g, sigma, kind)
+        bad = _first_bad_triple(g, sigma, kind, nbpos)
         if bad is not None:
             return CheckReport(NOT_APPLICABLE, (pre, bad))
     # w left of x, adjacent to x and y, not to z
-    return _report(_first_bad_triple(g, sigma, "c4"))
+    return _report(_first_bad_triple(g, sigma, "c4", nbpos))
 
 
 def replay_bad_triple(

@@ -3,9 +3,13 @@
 Graphs are immutable after construction and safe to share between
 threads. Adjacency is stored per vertex as a sorted tuple (ordered
 iteration for the search engines) with lazily-built frozensets for
-membership tests. `Graph.__init__` builds the tuples in the compiled
-kernel (`graph_adj` in `_lbfs_kernel.c`, the file of the C LBFS) whenever
-it loads, else in `_python_adj`, which gives identical output.
+membership tests, and once more packed for the C LBFS as `Graph._csr`
+(see `_kernel`). `Graph.__init__` builds both in the compiled kernel
+(`graph_adj` in `_lbfs_kernel.c`) whenever it loads, else the tuples
+alone in `_python_adj`, which gives identical output. The packed rows
+hold int32 ids and offsets, so `Graph.__init__` refuses, before building
+anything, 2**31 vertices or more, or 2**30 edges or more (repeats
+included).
 """
 from __future__ import annotations
 
@@ -27,40 +31,47 @@ class PatternTooLargeError(GraphError):
 MAX_PATTERN_VERTICES = 10
 
 
+_INT32_LIMIT = 2**31
+
+
 class Graph:
-    __slots__ = ("n", "m", "_adj", "_adjsets")
+    """A simple undirected graph. ``_csr`` holds the rows packed for the C
+    LBFS kernel, or None when the graph was built without the kernel."""
+
+    __slots__ = ("n", "m", "_adj", "_adjsets", "_csr")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = ()) -> None:
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
         if not isinstance(edges, list):
             edges = list(edges)
+        if n >= _INT32_LIMIT or 2 * len(edges) >= _INT32_LIMIT:
+            raise GraphError(
+                f"cannot build {n} vertices and {len(edges)} edges: ids and row "
+                f"offsets are int32, so n and 2m must be below 2**31"
+            )
         lib, reason = _kernel()
+        csr = None
         if lib is None:
             _warn_fallback(reason)
             adj = _python_adj(n, edges)
         else:
-            adj = lib.graph_adj(n, edges)
-            if adj is None:
+            built = lib.graph_adj(n, edges)
+            if built is None:
                 # an edge that is not a tuple or list of two ints (numpy
-                # integers, say), which only the Python loop reads
-                adj = _python_adj(n, edges)
-            elif isinstance(adj, int):
-                raise _edge_error(n, *edges[adj])
+                # integers, say): the Python loop reads it and raises the
+                # same errors, and the kernel packs the rows it gives
+                rows = _python_adj(n, edges)
+                built = lib.graph_adj(n, [(u, v) for u, row in enumerate(rows)
+                                          for v in row if u < v])
+            elif isinstance(built, int):
+                raise _edge_error(n, *edges[built])
+            adj, csr = built
         self.n = n
         self._adj = adj
+        self._csr = csr
         self.m = sum(map(len, adj)) // 2
         self._adjsets = None
-
-    @classmethod
-    def _from_sorted_adj(cls, adj: Tuple[Tuple[int, ...], ...]) -> "Graph":
-        # trusted constructor: adj must already be symmetric, sorted, loop-free
-        g = cls.__new__(cls)
-        g.n = len(adj)
-        g._adj = adj
-        g.m = sum(len(t) for t in adj) // 2
-        g._adjsets = None
-        return g
 
     @property
     def adj(self) -> Tuple[Tuple[int, ...], ...]:
@@ -103,12 +114,13 @@ class Graph:
 
 
 def _python_adj(n: int, edges: Iterable[Tuple[int, int]]) -> Tuple[Tuple[int, ...], ...]:
-    """`Graph.adj` built in Python: the fallback of the C builder, and its
-    reference in the tests."""
+    """`Graph.adj` built in Python: the builder when the kernel cannot load,
+    the reader of edges that `graph_adj` does not read, and the reference
+    of `graph_adj` in the tests."""
     adj = [set() for _ in range(n)]
-    # Rows share one int object per vertex instead of keeping the caller's:
-    # scans of a large graph (the C LBFS kernel's above all) then read a
-    # compact block of ints, not 2m objects scattered over the heap.
+    # Rows share one int object per vertex instead of keeping the caller's,
+    # as graph_adj's do: a scan of a large graph then reads a compact block
+    # of ints, not 2m objects scattered over the heap.
     ids = list(range(n))
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n) or u == v:
@@ -131,12 +143,9 @@ def from_edge_list(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
 
 
 def complement(g: Graph) -> Graph:
-    full = range(g.n)
-    adj = []
-    for v in full:
-        nb = g.adjsets[v]
-        adj.append(tuple(w for w in full if w != v and w not in nb))
-    return Graph._from_sorted_adj(tuple(adj))
+    n = g.n
+    return Graph(n, [(v, w) for v, nb in enumerate(g.adjsets)
+                     for w in range(v + 1, n) if w not in nb])
 
 
 def induced_subgraph(g: Graph, members: Iterable[int]) -> Tuple[Graph, Tuple[int, ...]]:
@@ -146,10 +155,9 @@ def induced_subgraph(g: Graph, members: Iterable[int]) -> Tuple[Graph, Tuple[int
         if not (0 <= v < g.n):
             raise GraphError(f"induced-subgraph member out of range: {v}")
     back = {v: i for i, v in enumerate(idmap)}
-    adj = []
-    for v in idmap:
-        adj.append(tuple(sorted(back[w] for w in g.neighbors(v) if w in back)))
-    return Graph._from_sorted_adj(tuple(adj)), idmap
+    edges = [(i, back[w]) for i, v in enumerate(idmap)
+             for w in g.neighbors(v) if v < w and w in back]
+    return Graph(len(idmap), edges), idmap
 
 
 @dataclass(frozen=True)

@@ -42,8 +42,8 @@ class OrbitBudgetError(RuntimeError):
 class SweepEngine:
     """The LBFS+ map over raw ordering tuples, memoized per graph.
 
-    ``step(prior)`` is ``search._sweep(g, prior)``, the map that
-    `lbfs_plus` wraps in an `Ordering`. Every computed sweep stays in
+    ``step(prior)`` is the ``seq`` of ``search._sweep(g, prior)``, the map
+    that `lbfs_plus` wraps in an `Ordering`. Every computed sweep stays in
     ``cache``, keyed by its prior tuple. A prior that is not a permutation
     of the vertices raises `OrderingError` and is not cached.
     """
@@ -55,7 +55,7 @@ class SweepEngine:
     def step(self, prior: Tuple[int, ...]) -> Tuple[int, ...]:
         out = self.cache.get(prior)
         if out is None:
-            out = self.cache[prior] = _sweep(self.g, prior)
+            out = self.cache[prior] = _sweep(self.g, prior)[0]
         return out
 
 

@@ -2,14 +2,20 @@
 
 There is one LBFS engine, an ordered partition refinement (`lbfs`,
 linear-time up to tie-break scans). `_refine` runs it as a C port
-(`_lbfs_kernel.c`, compiled on first use) whenever that builds, else as
-`_lbfs_core`. `lbfs_naive` is a literal label-list LBFS kept as the
-oracle. The LBFS+ map (LBFS from the prior's last vertex, ties toward
-the rightmost in the prior) is `_sweep`; `lbfs_plus` calls it on an
-`Ordering` and `lexcycle.SweepEngine` on raw tuples.
+(`_lbfs_kernel.c`, compiled on first use) on the graph's packed rows
+whenever that builds, else as `_lbfs_core`. `lbfs_naive` is a literal
+label-list LBFS kept as the oracle. The LBFS+ map (LBFS from the prior's
+last vertex, ties toward the rightmost in the prior) is `_sweep`;
+`lbfs_plus` calls it on an `Ordering` and `lexcycle.SweepEngine` on raw
+tuples.
 
-Every tie-break mode reduces to a static priority permutation: within a
-set of tied vertices the one with the smallest priority value wins.
+Every tie-break mode reduces to a prior: within a set of tied vertices
+the one rightmost in it wins (`_prior`), or equally the one of smallest
+priority, n - 1 minus its position in the prior (`_priority`, which the
+Python engines read). `_refine` returns ``(seq, pos)``, the visit order
+and its inverse, built by the kernel or the fallback and so correct by
+construction: `Ordering._trusted` wraps them without the O(n) check
+that the public `Ordering(seq)` makes.
 """
 from __future__ import annotations
 
@@ -44,6 +50,15 @@ class Ordering:
             pos[v] = i
         self.seq = s
         self.pos = tuple(pos)
+
+    @classmethod
+    def _trusted(cls, seq: Tuple[int, ...], pos: Tuple[int, ...]) -> "Ordering":
+        # for the output of `_refine` only, which is a permutation with
+        # its inverse by construction
+        o = cls.__new__(cls)
+        o.seq = seq
+        o.pos = pos
+        return o
 
     def __len__(self) -> int:
         return len(self.seq)
@@ -108,23 +123,39 @@ def _priority(tb: TieBreak, n: int) -> List[int]:
     raise TypeError(f"unknown tie-break: {tb!r}")
 
 
+def _prior(tb: TieBreak, n: int) -> Sequence[int]:
+    """``tb`` as a prior for `_refine`: ties go to the vertex rightmost in
+    it. The inverse of `_priority`, prior[n - 1 - prio[v]] = v."""
+    if isinstance(tb, PriorRightmost):
+        return tb.prior.seq
+    prior = [0] * n
+    for v, p in enumerate(_priority(tb, n)):
+        prior[n - 1 - p] = v
+    return prior
+
+
 def _rightmost_priority(prior: Union[Ordering, Sequence[int]], n: int) -> List[int]:
     """The LBFS+ tie-break, prio[v] = n - 1 - (position of v in prior).
-    Raises `OrderingError` unless prior is a permutation of 0..n-1. An
-    `Ordering` is one by construction, so only its length is checked."""
+    Raises `OrderingError` unless prior is a permutation of 0..n-1, for the
+    same priors as the kernel's `lbfs_refine` (an entry that is not an
+    integer, say). An `Ordering` is a permutation by construction, so only
+    its length is checked."""
     if isinstance(prior, Ordering):
         if len(prior) != n:
             raise OrderingError(f"not a permutation of 0..{n - 1}: {prior.seq}")
         last = n - 1
         return [last - p for p in prior.pos]
-    # len/min/max and the sentinel scan run at C speed; min is checked on
-    # its own because a negative entry wraps around in prio
-    if len(prior) != n or (n and (min(prior) < 0 or max(prior) >= n)):
-        raise OrderingError(f"not a permutation of 0..{n - 1}: {prior}")
     prio = [-1] * n
-    for i, v in enumerate(reversed(prior)):
-        prio[v] = i
-    if -1 in prio:
+    try:
+        # min runs at C speed, and is checked because a negative entry
+        # wraps around in prio; a bad entry stops the loop before it
+        # fills the last slot
+        if len(prior) == n and (not n or min(prior) >= 0):
+            for i, v in enumerate(reversed(prior)):
+                prio[v] = i
+    except (TypeError, IndexError):
+        pass
+    if len(prior) != n or -1 in prio:
         raise OrderingError(f"not a permutation of 0..{n - 1}: {prior}")
     return prio
 
@@ -204,30 +235,49 @@ def _lbfs_core(adj: Sequence[Sequence[int]], n: int, start: int, prio: Sequence[
     return arr
 
 
-def _refine(g: Graph, start: int, prio: List[int]) -> Tuple[int, ...]:
-    """The LBFS refinement: the C kernel if it loads, else `_lbfs_core`."""
-    if not (0 <= start < g.n):
-        raise GraphError(f"start vertex out of range: {start}")
+# the visit order of an LBFS and its inverse
+_SeqPos = Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+
+def _refine(g: Graph, start: int, prior: Sequence[int]) -> _SeqPos:
+    """LBFS from ``start``, ties toward the vertex rightmost in ``prior`` (a
+    tuple or list), as ``(seq, pos)``: the visit order and its inverse. It
+    runs the C kernel on ``g._csr`` if the kernel loads, else `_lbfs_core`.
+    Raises `OrderingError` unless prior is a permutation of the vertices;
+    ``start`` must be a vertex when there is one."""
+    n = g.n
     lib, reason = _kernel()
-    if lib is not None:
-        return lib.lbfs_refine(g.adj, start, prio)
-    _warn_fallback(reason)
-    return tuple(_lbfs_core(g.adj, g.n, start, prio))
+    if len(prior) != n:
+        out = None
+    elif n == 0:
+        out = (), ()
+    elif lib is not None:
+        out = lib.lbfs_refine(g._csr, start, prior)
+    else:
+        _warn_fallback(reason)
+        seq = tuple(_lbfs_core(g.adj, n, start, _rightmost_priority(prior, n)))
+        pos = [0] * n
+        for i, v in enumerate(seq):
+            pos[v] = i
+        out = seq, tuple(pos)
+    if out is None:
+        raise OrderingError(f"not a permutation of 0..{n - 1}: {prior}")
+    return out
 
 
-def _sweep(g: Graph, prior: Union[Ordering, Sequence[int]]) -> Tuple[int, ...]:
-    """The LBFS+ map: LBFS from the prior's last vertex, ties toward
-    prior-rightmost, on an `Ordering` or a raw tuple. Raises
+def _sweep(g: Graph, prior: Union[Ordering, Sequence[int]]) -> _SeqPos:
+    """The LBFS+ map as ``(seq, pos)``: LBFS from the prior's last vertex,
+    ties toward prior-rightmost, on an `Ordering` or a raw tuple. Raises
     `OrderingError` unless prior is a permutation of the vertices."""
-    prio = _rightmost_priority(prior, g.n)
-    if not prio:
-        return ()
-    return _refine(g, prior.last() if isinstance(prior, Ordering) else prior[-1], prio)
+    seq = prior.seq if isinstance(prior, Ordering) else prior
+    return _refine(g, seq[-1] if seq else None, seq)
 
 
 def lbfs(g: Graph, start: int, tb: TieBreak = MIN_INDEX) -> Ordering:
     """Partition-refinement LBFS from ``start`` with tie-break ``tb``."""
-    return Ordering(_refine(g, start, _priority(tb, g.n)))
+    if not (0 <= start < g.n):
+        raise GraphError(f"start vertex out of range: {start}")
+    return Ordering._trusted(*_refine(g, start, _prior(tb, g.n)))
 
 
 def lbfs_naive(g: Graph, start: int, tb: TieBreak = MIN_INDEX) -> Ordering:
@@ -254,7 +304,7 @@ def lbfs_naive(g: Graph, start: int, tb: TieBreak = MIN_INDEX) -> Ordering:
 
 def lbfs_plus(g: Graph, prior: Ordering) -> Ordering:
     """LBFS started at the prior's last vertex, ties toward prior-rightmost."""
-    return Ordering(_sweep(g, prior))
+    return Ordering._trusted(*_sweep(g, prior))
 
 
 def lmpn(g: Graph, sigma: Ordering, y: int, z: int) -> Optional[int]:

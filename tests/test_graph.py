@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import warnings
 from itertools import combinations, permutations
 
@@ -66,6 +67,19 @@ def fallback_graph(n, edges):
         return Graph(n, edges)
 
 
+def decode_csr(csr, n):
+    """The rows that a packed `Graph._csr` holds, checking its layout."""
+    words = memoryview(csr).cast("i")
+    off, nbrs = words[:n + 1], words[n + 1:]
+    assert off[0] == 0 and off[n] == len(nbrs)
+    assert all(off[v] <= off[v + 1] for v in range(n))
+    return tuple(tuple(nbrs[off[v]:off[v + 1]]) for v in range(n))
+
+
+def assert_csr_is_adj(g):
+    assert type(g._csr) is bytes and decode_csr(g._csr, g.n) == g.adj
+
+
 def assert_builds_agree(n, make_edges):
     # make_edges gives a fresh copy of the input, which may be a generator
     g = Graph(n, make_edges())
@@ -75,6 +89,12 @@ def assert_builds_agree(n, make_edges):
     # every row holds the same int object for a vertex
     ids = {}
     assert all(ids.setdefault(w, w) is w for row in g.adj for w in row)
+    # the packed rows are the rows, here and in the graphs built from g
+    assert want._csr is None
+    assert_csr_is_adj(g)
+    assert_csr_is_adj(complement(g))
+    for members in (range(0, n, 2), range(1, n)):
+        assert_csr_is_adj(induced_subgraph(g, members)[0])
 
 
 @needs_cc
@@ -85,9 +105,11 @@ class TestCBuilder:
     def test_kernel_builds(self):
         lib, reason = _kernel()
         assert lib is not None, reason
-        adj = lib.graph_adj(4, [(0, 1), (2, 1), (1, 0), [3, 2]])
+        adj, csr = lib.graph_adj(4, [(0, 1), (2, 1), (1, 0), [3, 2]])
         assert adj == ((1,), (0, 2), (1, 3), (2,))
         assert adj[0][0] is adj[2][0]
+        # offsets 0 1 3 5 6, then the rows; the repeated edge is dropped
+        assert list(memoryview(csr).cast("i")) == [0, 1, 3, 5, 6, 1, 0, 2, 1, 3, 2]
 
     def test_every_labeled_graph_up_to_5(self):
         for n in range(6):
@@ -182,6 +204,18 @@ class TestCBuilder:
             lib.graph_adj(3, ((0, 1),))
         with pytest.raises(ValueError):
             lib.graph_adj(-1, [])
+        # the int32 limit, checked before anything is allocated
+        with pytest.raises(ValueError, match=r"2\*\*31"):
+            lib.graph_adj(2**31, [])
+
+    def test_int32_limit(self):
+        # refused at once: neither the kernel nor the Python loop, which
+        # would build 2**31 sets, ever starts on it
+        t0 = time.perf_counter()
+        for n in (2**31, 2**40):
+            with pytest.raises(GraphError, match=r"int32.*2\*\*31"):
+                Graph(n)
+        assert time.perf_counter() - t0 < 0.5
 
 
 class TestComplement:

@@ -1,10 +1,12 @@
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
 import sysconfig
 import warnings
+from array import array
 from itertools import permutations
 
 import pytest
@@ -200,42 +202,102 @@ class TestEngineEquivalence:
         assert a == b
 
 
+def pack(off, nbrs):
+    """A CSR as `Graph._csr` packs it: int32 offsets, then the rows."""
+    return array("i", off + nbrs).tobytes()
+
+
+P3 = path(3)._csr
+MIN3 = [2, 1, 0]  # ties toward the least id, as a prior
+
+
 @needs_cc
 class TestKernelBoundary:
-    """The C refinement takes ``(Graph.adj, start, prio list)`` and returns
-    the visit order as a tuple, or raises; it never reads out of bounds."""
+    """The C refinement takes ``(Graph._csr, start, prior)`` and returns
+    ``(seq, pos)``, None for a prior that is not a permutation, or raises;
+    it never reads out of bounds."""
 
     @pytest.mark.parametrize(
-        "adj, start, prio, error",
+        "csr, start, prior, error",
         [
-            (path(3).adj, 0, [0, 1], ValueError),
-            (path(3).adj, 0, [0, 1, 2, 3], ValueError),
-            (path(3).adj, 0, (0, 1, 2), TypeError),
-            (path(3).adj, 0, [0, "1", 2], TypeError),
-            (path(3).adj, 0, [0, 1.0, 2], TypeError),
-            (path(3).adj, 3, [0, 1, 2], ValueError),
-            (path(3).adj, -1, [0, 1, 2], ValueError),
-            ((), 0, [], ValueError),
-            (((1,), (0, 5)), 0, [0, 1], ValueError),
-            (((1,), (0, -1)), 0, [0, 1], ValueError),
-            (((1,), [0]), 0, [0, 1], TypeError),
-            (((1,) * 100, (0,)), 0, [0, 1], ValueError),
-            (list(path(2).adj), 0, [0, 1], TypeError),
+            (P3, 0, [1, 0], ValueError),
+            (P3, 0, [3, 2, 1, 0], ValueError),
+            (P3, 0, range(3), TypeError),
+            (P3, 0, {2: 0, 1: 0, 0: 0}, TypeError),
+            (P3, 0, [2, "1", 0], None),
+            (P3, 0, [2, 1.0, 0], None),
+            (P3, 3, MIN3, ValueError),
+            (P3, -1, MIN3, ValueError),
+            (P3, 2**70, MIN3, ValueError),
+            (P3, "0", MIN3, TypeError),
+            (path(0)._csr, 0, [], ValueError),
+            (P3[:-4], 0, MIN3, ValueError),
+            (P3 + bytes(4), 0, MIN3, ValueError),
+            (P3 + bytes(1), 0, MIN3, ValueError),
+            (pack([1, 1, 2], [1, 0]), 0, [1, 0], ValueError),
+            (pack([0, 3, 2], [1, 0]), 0, [1, 0], ValueError),
+            (pack([0, -1, 0], []), 0, [1, 0], ValueError),
+            (pack([0, 2, 1, 2], [1, 2]), 0, MIN3, ValueError),
+            (pack([0, 1, 3], [1, 0, 5]), 0, [1, 0], ValueError),
+            (pack([0, 1, 3], [1, 0, -1]), 0, [1, 0], ValueError),
+            (pack([0, 100, 101], [1] * 100 + [0]), 0, [1, 0], ValueError),
+            (bytearray(P3), 0, MIN3, TypeError),
+            (path(3).adj, 0, MIN3, TypeError),
+            (list(path(3).adj), 0, MIN3, TypeError),
         ],
-        ids=["short-prio", "long-prio", "tuple-prio", "str-prio", "float-prio",
-             "start-n", "start-negative", "empty", "neighbour-n",
-             "neighbour-negative", "list-row", "duplicate-neighbour", "list-adj"],
+        ids=["short-prio", "long-prio", "range-prio", "dict-prio", "str-prio",
+             "float-prio", "start-n", "start-negative", "start-huge", "start-str",
+             "empty", "csr-short", "csr-long", "csr-ragged", "offset-not-0",
+             "row-past-end", "row-negative", "offset-decreasing", "neighbour-n",
+             "neighbour-negative", "duplicate-neighbour", "bytearray-csr",
+             "tuple-adj", "list-adj"],
     )
-    def test_malformed_input_raises(self, adj, start, prio, error):
+    def test_malformed_input_raises(self, csr, start, prior, error):
+        # error None: a prior entry that is not an int, which the kernel
+        # reports by returning None
         lib, reason = search._kernel()
         assert lib is not None, reason
-        with pytest.raises(error):
-            lib.lbfs_refine(adj, start, prio)
+        if error is None:
+            assert lib.lbfs_refine(csr, start, prior) is None
+        else:
+            with pytest.raises(error):
+                lib.lbfs_refine(csr, start, prior)
+
+    BAD_PRIORS = [(2, 2, 1), (0, 1, 3), (-1, 0, 1), (0, 1, -1), (0, "1", 2),
+                  (0, 1.0, 2), (0, 2**70, 1), (0, 1, None)]
+
+    @pytest.mark.parametrize("prior", BAD_PRIORS)
+    def test_prior_not_a_permutation(self, prior, monkeypatch):
+        # the kernel says None and does not raise; the sweep, on either
+        # backend, raises OrderingError with the prior in its text
+        lib, reason = search._kernel()
+        assert lib is not None, reason
+        assert lib.lbfs_refine(P3, 0, prior) is None
+        assert lib.lbfs_refine(P3, 0, list(prior)) is None
+        text = re.escape(f"not a permutation of 0..2: {prior}")
+        with pytest.raises(OrderingError, match=text):
+            SweepEngine(path(3)).step(prior)
+        monkeypatch.setattr(search, "_kernel", lambda: (None, "forced off"))
+        with warnings.catch_warnings(), pytest.raises(OrderingError, match=text):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            SweepEngine(path(3)).step(prior)
 
     def test_returns_a_tuple(self):
+        # (seq, pos): the visit order and its inverse
         lib, reason = search._kernel()
         assert lib is not None, reason
-        assert lib.lbfs_refine(cycle(4).adj, 0, [0, 1, 2, 3]) == (0, 1, 3, 2)
+        assert lib.lbfs_refine(cycle(4)._csr, 0, [3, 2, 1, 0]) == ((0, 1, 3, 2), (0, 1, 3, 2))
+        # ids above 256, which Python does not cache; integer-like priors
+        n = 600
+        g = path(n)
+        for prior in (list(range(n - 1, -1, -1)), tuple(range(n)),
+                      [True] + list(range(n - 1, 1, -1)) + [False]):
+            seq, pos = lib.lbfs_refine(g._csr, 300, prior)
+            assert type(seq) is tuple and type(pos) is tuple
+            assert sorted(seq) == list(range(n)) and seq[0] == 300
+            assert all(seq[pos[v]] == v for v in range(n))
+            # one int object per vertex, shared by the two tuples
+            assert all(seq[pos[v]] is pos[seq[v]] for v in range(n))
 
     def test_sweeps_match_the_fallback(self, rng, monkeypatch):
         cases = []
@@ -247,8 +309,13 @@ class TestKernelBoundary:
         cases.append((Graph(0), Ordering(())))
 
         def sweeps():
-            return [(lbfs_plus(g, p).seq, SweepEngine(g).step(p.seq))
-                    for g, p in cases]
+            out = []
+            for i, (g, p) in enumerate(cases):
+                plus = lbfs_plus(g, p)
+                seeded = lbfs(g, p.last(), Seeded(i)) if g.n else plus
+                out.append(((plus.seq, plus.pos), SweepEngine(g).step(p.seq),
+                            (seeded.seq, seeded.pos)))
+            return out
 
         assert search.kernel_backend() == "c"
         kernel = sweeps()
@@ -257,8 +324,10 @@ class TestKernelBoundary:
             warnings.simplefilter("ignore", RuntimeWarning)
             fallback = sweeps()
         assert kernel == fallback
-        for plus, step in kernel:
-            assert type(step) is tuple and plus == step
+        for (seq, pos), step, _ in kernel:
+            assert type(step) is tuple and type(pos) is tuple and seq == step
+            # the trusted pos is the one the checked constructor builds
+            assert pos == Ordering(seq).pos
 
     def test_compiles_warning_free(self):
         cc = shutil.which(os.environ.get("CC", "cc"))
