@@ -15,11 +15,16 @@ the CSR: a `bytes` object of native int32 words, the row offsets
   LBFS, runs LBFS from ``start`` with ties toward the vertex rightmost in
   ``prior`` (a tuple or list). It returns ``(seq, pos)``, the visit order
   and its inverse, or None when ``prior`` is not a permutation of the
-  vertices, and raises on any other malformed input.
+  vertices, and raises on any other malformed input. `search._lbfs_core`
+  keeps the same contract on ``Graph.adj``, and `search._refine` wraps
+  either pair as a trusted `Ordering`.
 
-When the library cannot be built or loaded, each caller runs its
-pure-Python fallback, which gives identical output, after
-`_warn_fallback` has said why, once.
+The library is built once per source, compiler and interpreter, as
+``lbfs_kernel-<SOABI>-<hash>.so`` in ``$XDG_CACHE_HOME/lexsweep``; a
+fresh build removes the libraries it supersedes (see `_build_kernel`),
+and loading a built one does no other work. When the library cannot be
+built or loaded, each caller runs its pure-Python fallback, which gives
+identical output, after `_warn_fallback` has said why, once.
 """
 from __future__ import annotations
 
@@ -63,20 +68,22 @@ def _kernel():
 
 def _build_kernel(cc_path: str) -> Path:
     # The kernel reads and returns Python objects, so it is built against
-    # this interpreter's headers. The library name hashes the source, the
-    # compiler and the interpreter ABI, so a change to any of them builds
-    # afresh. Building to a temporary name and renaming it into place
-    # keeps concurrent worker processes from loading a half-written file.
+    # this interpreter's headers. The library name carries the interpreter
+    # ABI tag and hashes the source, the compiler and the ABI, so a change
+    # to any of them builds afresh. Building to a temporary name and
+    # renaming it into place keeps concurrent worker processes from loading
+    # a half-written file.
     include = sysconfig.get_paths()["include"]
+    soabi = sysconfig.get_config_var("SOABI")
     parts = [
         _SOURCE.read_bytes(),
         os.path.realpath(cc_path).encode(),
         include.encode(),
-        str(sysconfig.get_config_var("SOABI")).encode(),
+        str(soabi).encode(),
     ]
     key = hashlib.sha256(b"\0".join(parts)).hexdigest()[:16]
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "lexsweep"
-    lib = cache / f"lbfs_kernel-{key}.so"
+    lib = cache / f"lbfs_kernel-{soabi}-{key}.so"
     if lib.exists():
         return lib
     cache.mkdir(parents=True, exist_ok=True)
@@ -92,6 +99,12 @@ def _build_kernel(cc_path: str) -> Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    # the libraries this build supersedes: older builds for this ABI, and
+    # those named before the name carried the ABI tag
+    untagged = "lbfs_kernel-" + "[0-9a-f]" * 16 + ".so"
+    for old in [*cache.glob(f"lbfs_kernel-{soabi}-*.so"), *cache.glob(untagged)]:
+        if old != lib:
+            old.unlink(missing_ok=True)  # a concurrent build may have been first
     return lib
 
 

@@ -137,16 +137,15 @@ def pattern_graph(which: str) -> Graph:
 
 
 def _first_umbrella_free(
-    eng: SweepEngine, cur: Tuple[int, ...], sweeps: int
+    eng: SweepEngine, sigma: Ordering, sweeps: int
 ) -> Optional[Ordering]:
-    """The first umbrella-free ordering among cur and the next `sweeps`
+    """The first umbrella-free ordering among sigma and the next `sweeps`
     LBFS+ sweeps from it, or None."""
-    sigma = Ordering(cur)
     while not is_umbrella_free(eng.g, sigma):
         if not sweeps:
             return None
         sweeps -= 1
-        sigma = Ordering(eng.step(sigma.seq))
+        sigma = eng.step(sigma.seq)
     return sigma
 
 
@@ -158,7 +157,7 @@ def is_cocomparability(g: Graph) -> Tuple[bool, Optional[Ordering]]:
     """
     if g.n == 0:
         return True, Ordering(())
-    sigma = _first_umbrella_free(SweepEngine(g), lbfs(g, 0, MIN_INDEX).seq, g.n)
+    sigma = _first_umbrella_free(SweepEngine(g), lbfs(g, 0, MIN_INDEX), g.n)
     return sigma is not None, sigma
 
 

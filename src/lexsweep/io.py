@@ -1,4 +1,9 @@
-"""Serialization: graph6 (short form, n <= 62) and plain edge-list text."""
+"""Serialization: graph6 and plain edge-list text.
+
+graph6 gives n in one byte for n <= 62, else as ``~`` and three bytes
+(n <= 258047), else as ``~~`` and six bytes: 6-bit big-endian groups,
+each plus 63.
+"""
 from __future__ import annotations
 
 from typing import List, Tuple
@@ -6,7 +11,6 @@ from typing import List, Tuple
 from .graph import Graph, GraphError
 
 GRAPH6_HEADER = ">>graph6<<"
-_MAX_GRAPH6_N = 62
 
 
 class FormatError(GraphError):
@@ -15,15 +19,15 @@ class FormatError(GraphError):
 
 def to_graph6(g: Graph) -> str:
     n = g.n
-    if n > _MAX_GRAPH6_N:
-        raise FormatError(f"short-form graph6 supports n <= {_MAX_GRAPH6_N}, got {n}")
+    width = 1 if n <= 62 else 3 if n <= 258047 else 6
     bits: List[int] = []
     for j in range(1, n):
         for i in range(j):
             bits.append(1 if g.has_edge(i, j) else 0)
     while len(bits) % 6:
         bits.append(0)
-    out = [chr(n + 63)]
+    out = ["~" * (width // 3)]
+    out.extend(chr((n >> 6 * k & 63) + 63) for k in range(width - 1, -1, -1))
     for k in range(0, len(bits), 6):
         val = 0
         for b in bits[k : k + 6]:
@@ -38,14 +42,18 @@ def from_graph6(line: str) -> Graph:
         s = s[len(GRAPH6_HEADER) :]
     if not s:
         raise FormatError("empty graph6 string")
-    first = ord(s[0]) - 63
-    if first == 63:
-        raise FormatError("long-form graph6 (n > 62) is not supported")
-    if not (0 <= first <= _MAX_GRAPH6_N):
-        raise FormatError(f"invalid graph6 size byte: {s[0]!r}")
-    n = first
+    skip = 2 if s.startswith("~~") else 1 if s.startswith("~") else 0
+    width = (1, 3, 6)[skip]
+    head, body = s[skip : skip + width], s[skip + width :]
+    if len(head) < width:
+        raise FormatError(f"truncated graph6 size prefix: {s!r}")
+    n = 0
+    for ch in head:
+        val = ord(ch) - 63
+        if not (0 <= val < 64):
+            raise FormatError(f"invalid graph6 size byte: {ch!r}")
+        n = n << 6 | val
     need = (n * (n - 1) // 2 + 5) // 6
-    body = s[1:]
     if len(body) != need:
         raise FormatError(
             f"graph6 body length {len(body)} does not match n={n} (expected {need})"

@@ -3,9 +3,11 @@ terminal cycle, and compute the maximum terminal-cycle length exactly or
 by sampling.
 
 The map is evaluated by `SweepEngine`, a memo table over `search._sweep`,
-the one LBFS+ map (the C kernel whenever it builds).
-Orbits revisit orderings, and the orbits of many starts merge, so each
-distinct sweep is computed once per engine.
+the one LBFS+ map (the C kernel whenever it builds). Its ``step`` returns
+the sweep's trusted `Ordering`, which every function here hands on as it
+comes: nothing re-checks a sweep result. Orbits revisit orderings, and the
+orbits of many starts merge, so each distinct sweep is computed once per
+engine.
 
 The exact value needs only the LBFS orderings of g as starts, not all n!
 permutations: the orbit of any start pi passes through its image f(pi),
@@ -40,22 +42,23 @@ class OrbitBudgetError(RuntimeError):
 
 
 class SweepEngine:
-    """The LBFS+ map over raw ordering tuples, memoized per graph.
+    """The LBFS+ map from raw ordering tuples, memoized per graph.
 
-    ``step(prior)`` is the ``seq`` of ``search._sweep(g, prior)``, the map
-    that `lbfs_plus` wraps in an `Ordering`. Every computed sweep stays in
+    ``step(prior)`` is ``search._sweep(g, prior)``, the map that
+    `lbfs_plus` also runs: the trusted `Ordering` of the sweep, whose
+    ``seq`` is the prior of the next step. Every computed sweep stays in
     ``cache``, keyed by its prior tuple. A prior that is not a permutation
     of the vertices raises `OrderingError` and is not cached.
     """
 
     def __init__(self, g: Graph) -> None:
         self.g = g
-        self.cache: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        self.cache: Dict[Tuple[int, ...], Ordering] = {}
 
-    def step(self, prior: Tuple[int, ...]) -> Tuple[int, ...]:
+    def step(self, prior: Tuple[int, ...]) -> Ordering:
         out = self.cache.get(prior)
         if out is None:
-            out = self.cache[prior] = _sweep(self.g, prior)[0]
+            out = self.cache[prior] = _sweep(self.g, prior)
         return out
 
 
@@ -85,10 +88,10 @@ def sweep_sequence(g: Graph, pi: Ordering, k: int) -> List[Ordering]:
         raise ValueError(f"sweep count must be >= 1, got {k}")
     eng = SweepEngine(g)
     out = []
-    cur = pi.seq
+    cur = pi
     for _ in range(k):
-        cur = eng.step(cur)
-        out.append(Ordering(cur))
+        cur = eng.step(cur.seq)
+        out.append(cur)
     return out
 
 
@@ -98,30 +101,34 @@ def detect_orbit(
     max_sweeps: Optional[int] = None,
     engine: Optional[SweepEngine] = None,
 ) -> OrbitResult:
-    """Follow the orbit of pi under the sweep map to its terminal cycle."""
+    """Follow the orbit of pi under the sweep map to its terminal cycle.
+
+    ``engine``, when given, must be a `SweepEngine` of g itself.
+    """
     budget = default_sweep_budget(g.n) if max_sweeps is None else max_sweeps
     if budget < 1:
         raise ValueError(f"sweep budget must be >= 1, got {max_sweeps}")
+    if engine is not None and engine.g is not g:
+        raise ValueError("the sweep engine belongs to another graph")
     eng = engine if engine is not None else SweepEngine(g)
     seen: Dict[Tuple[int, ...], int] = {}
-    trace: List[Tuple[int, ...]] = []
+    trace: List[Ordering] = []
     cur = eng.step(pi.seq)
     sweeps = 1
     while True:
-        idx = seen.get(cur)
+        idx = seen.get(cur.seq)
         if idx is not None:
-            cycle = tuple(Ordering(t) for t in trace[idx:])
             return OrbitResult(
                 preperiod=idx,
                 period=len(trace) - idx,
-                cycle=cycle,
-                trace=tuple(Ordering(t) for t in trace),
+                cycle=tuple(trace[idx:]),
+                trace=tuple(trace),
             )
-        seen[cur] = len(trace)
+        seen[cur.seq] = len(trace)
         trace.append(cur)
         if sweeps >= budget:
-            raise OrbitBudgetError(budget, tuple(trace))
-        cur = eng.step(cur)
+            raise OrbitBudgetError(budget, tuple(o.seq for o in trace))
+        cur = eng.step(cur.seq)
         sweeps += 1
 
 
@@ -130,11 +137,11 @@ def _terminal_period(
 ) -> int:
     path: List[Tuple[int, ...]] = []
     pindex: Dict[Tuple[int, ...], int] = {}
-    cur = eng.step(start)
+    cur = eng.step(start).seq
     while cur not in memo and cur not in pindex:
         pindex[cur] = len(path)
         path.append(cur)
-        cur = eng.step(cur)
+        cur = eng.step(cur).seq
     period = memo[cur] if cur in memo else len(path) - pindex[cur]
     for t in path:
         memo[t] = period
@@ -275,12 +282,8 @@ def theorem_check(g: Graph, pi: Ordering) -> TheoremReport:
     pre = is_umbrella_free(g, pi)
     if not pre:
         return TheoremReport(NOT_APPLICABLE, na_witness=pre.witness)
-    eng = SweepEngine(g)
-    s0 = eng.step(pi.seq)
-    s1 = eng.step(s0)
-    s2 = eng.step(s1)
-    s3 = eng.step(s2)
-    sweeps = (Ordering(s0), Ordering(s1), Ordering(s2), Ordering(s3))
+    sweeps = tuple(sweep_sequence(g, pi, 4))
+    s1, s3 = sweeps[1].seq, sweeps[3].seq
     if s1 == s3:
         return TheoremReport(PASS, sweeps=sweeps)
     k = next(i for i in range(g.n) if s1[i] != s3[i])

@@ -1,21 +1,22 @@
 """LBFS and tie-breaking.
 
-There is one LBFS engine, an ordered partition refinement (`lbfs`,
-linear-time up to tie-break scans). `_refine` runs it as a C port
-(`_lbfs_kernel.c`, compiled on first use) on the graph's packed rows
-whenever that builds, else as `_lbfs_core`. `lbfs_naive` is a literal
-label-list LBFS kept as the oracle. The LBFS+ map (LBFS from the prior's
-last vertex, ties toward the rightmost in the prior) is `_sweep`;
-`lbfs_plus` calls it on an `Ordering` and `lexcycle.SweepEngine` on raw
-tuples.
+There is one LBFS, an ordered partition refinement (linear-time up to
+tie-break scans), with two engines that share one contract,
+``(rows, start, prior) -> (seq, pos)``: the visit order of an LBFS from
+``start`` and its inverse. The C kernel (`_lbfs_kernel.c`, compiled on
+first use) reads the graph's packed rows, ``Graph._csr``; `_lbfs_core`,
+the pure-Python fallback, reads ``Graph.adj``. `_refine` runs one of them
+and is the one place that wraps the pair, as a trusted `Ordering`: both
+engines build a permutation and its inverse by construction, so it skips
+the O(n) check that the public `Ordering(seq)` makes. The LBFS+ map (LBFS
+from the prior's last vertex) is `_sweep`: `lbfs_plus` calls it on an
+`Ordering`'s sequence, `lexcycle.SweepEngine` on raw tuples, and the
+``seq`` of its result is the next sweep's prior as it stands.
 
-Every tie-break mode reduces to a prior: within a set of tied vertices
-the one rightmost in it wins (`_prior`), or equally the one of smallest
-priority, n - 1 minus its position in the prior (`_priority`, which the
-Python engines read). `_refine` returns ``(seq, pos)``, the visit order
-and its inverse, built by the kernel or the fallback and so correct by
-construction: `Ordering._trusted` wraps them without the O(n) check
-that the public `Ordering(seq)` makes.
+The prior is the only tie-break form: within a set of tied vertices the
+one rightmost in it wins. `_prior` turns each `TieBreak` into one;
+`_lbfs_core` and `lbfs_naive`, the literal label-list LBFS kept as the
+oracle, read it as a priority through `_rightmost_priority`.
 """
 from __future__ import annotations
 
@@ -50,15 +51,6 @@ class Ordering:
             pos[v] = i
         self.seq = s
         self.pos = tuple(pos)
-
-    @classmethod
-    def _trusted(cls, seq: Tuple[int, ...], pos: Tuple[int, ...]) -> "Ordering":
-        # for the output of `_refine` only, which is a permutation with
-        # its inverse by construction
-        o = cls.__new__(cls)
-        o.seq = seq
-        o.pos = pos
-        return o
 
     def __len__(self) -> int:
         return len(self.seq)
@@ -111,40 +103,28 @@ TieBreak = Union[MinIndex, PriorRightmost, Seeded]
 MIN_INDEX = MinIndex()
 
 
-def _priority(tb: TieBreak, n: int) -> List[int]:
+def _prior(tb: TieBreak, n: int) -> Sequence[int]:
+    """``tb`` as a prior, the one tie-break form the engines and the
+    oracle read: ties go to the vertex rightmost in it."""
     if isinstance(tb, MinIndex):
-        return list(range(n))
+        return list(range(n - 1, -1, -1))
     if isinstance(tb, PriorRightmost):
-        return _rightmost_priority(tb.prior, n)
+        return tb.prior.seq
     if isinstance(tb, Seeded):
         prio = list(range(n))
         random.Random(tb.seed).shuffle(prio)
-        return prio
+        prior = [0] * n
+        for v, p in enumerate(prio):
+            prior[n - 1 - p] = v
+        return prior
     raise TypeError(f"unknown tie-break: {tb!r}")
 
 
-def _prior(tb: TieBreak, n: int) -> Sequence[int]:
-    """``tb`` as a prior for `_refine`: ties go to the vertex rightmost in
-    it. The inverse of `_priority`, prior[n - 1 - prio[v]] = v."""
-    if isinstance(tb, PriorRightmost):
-        return tb.prior.seq
-    prior = [0] * n
-    for v, p in enumerate(_priority(tb, n)):
-        prior[n - 1 - p] = v
-    return prior
-
-
-def _rightmost_priority(prior: Union[Ordering, Sequence[int]], n: int) -> List[int]:
+def _rightmost_priority(prior: Sequence[int], n: int) -> List[int]:
     """The LBFS+ tie-break, prio[v] = n - 1 - (position of v in prior).
     Raises `OrderingError` unless prior is a permutation of 0..n-1, for the
     same priors as the kernel's `lbfs_refine` (an entry that is not an
-    integer, say). An `Ordering` is a permutation by construction, so only
-    its length is checked."""
-    if isinstance(prior, Ordering):
-        if len(prior) != n:
-            raise OrderingError(f"not a permutation of 0..{n - 1}: {prior.seq}")
-        last = n - 1
-        return [last - p for p in prior.pos]
+    integer, say)."""
     prio = [-1] * n
     try:
         # min runs at C speed, and is checked because a negative entry
@@ -160,11 +140,14 @@ def _rightmost_priority(prior: Union[Ordering, Sequence[int]], n: int) -> List[i
     return prio
 
 
-def _lbfs_core(adj: Sequence[Sequence[int]], n: int, start: int, prio: Sequence[int]):
-    # Ordered partition refinement over the array `arr`. Numbered vertices
-    # occupy arr[:p] in visit order; unnumbered ones occupy arr[p:], tiled
-    # by classes in label order. Visiting u splits each class into
-    # neighbours-first / non-neighbours.
+def _lbfs_core(
+    adj: Sequence[Sequence[int]], n: int, start: int, prior: Sequence[int]
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    # Ordered partition refinement over the array `arr`, whose inverse is
+    # `loc`. Numbered vertices occupy arr[:p] in visit order; unnumbered
+    # ones occupy arr[p:], tiled by classes in label order. Visiting u
+    # splits each class into neighbours-first / non-neighbours.
+    prio = _rightmost_priority(prior, n)
     arr = list(range(n))
     loc = list(range(n))
     if start != 0:
@@ -232,19 +215,16 @@ def _lbfs_core(adj: Sequence[Sequence[int]], n: int, start: int, prio: Sequence[
                     cls[arr[idx]] = nc
                 cstart[c] = ne
                 nc += 1
-    return arr
+    return tuple(arr), tuple(loc)
 
 
-# the visit order of an LBFS and its inverse
-_SeqPos = Tuple[Tuple[int, ...], Tuple[int, ...]]
-
-
-def _refine(g: Graph, start: int, prior: Sequence[int]) -> _SeqPos:
+def _refine(g: Graph, start: int, prior: Sequence[int]) -> Ordering:
     """LBFS from ``start``, ties toward the vertex rightmost in ``prior`` (a
-    tuple or list), as ``(seq, pos)``: the visit order and its inverse. It
-    runs the C kernel on ``g._csr`` if the kernel loads, else `_lbfs_core`.
-    Raises `OrderingError` unless prior is a permutation of the vertices;
-    ``start`` must be a vertex when there is one."""
+    tuple or list). It runs the C kernel on ``g._csr`` if the kernel loads,
+    else `_lbfs_core`, and wraps their ``(seq, pos)`` as an `Ordering`
+    without the check of `Ordering.__init__`. Raises `OrderingError` unless
+    prior is a permutation of the vertices; ``start`` must be a vertex when
+    there is one."""
     n = g.n
     lib, reason = _kernel()
     if len(prior) != n:
@@ -255,21 +235,18 @@ def _refine(g: Graph, start: int, prior: Sequence[int]) -> _SeqPos:
         out = lib.lbfs_refine(g._csr, start, prior)
     else:
         _warn_fallback(reason)
-        seq = tuple(_lbfs_core(g.adj, n, start, _rightmost_priority(prior, n)))
-        pos = [0] * n
-        for i, v in enumerate(seq):
-            pos[v] = i
-        out = seq, tuple(pos)
+        out = _lbfs_core(g.adj, n, start, prior)
     if out is None:
         raise OrderingError(f"not a permutation of 0..{n - 1}: {prior}")
-    return out
+    sigma = Ordering.__new__(Ordering)  # trusted: no check in __init__
+    sigma.seq, sigma.pos = out
+    return sigma
 
 
-def _sweep(g: Graph, prior: Union[Ordering, Sequence[int]]) -> _SeqPos:
-    """The LBFS+ map as ``(seq, pos)``: LBFS from the prior's last vertex,
-    ties toward prior-rightmost, on an `Ordering` or a raw tuple. Raises
-    `OrderingError` unless prior is a permutation of the vertices."""
-    seq = prior.seq if isinstance(prior, Ordering) else prior
+def _sweep(g: Graph, seq: Sequence[int]) -> Ordering:
+    """The LBFS+ map: LBFS from the last vertex of the prior ``seq``, ties
+    toward prior-rightmost. Raises `OrderingError` unless ``seq`` is a
+    permutation of the vertices."""
     return _refine(g, seq[-1] if seq else None, seq)
 
 
@@ -277,7 +254,7 @@ def lbfs(g: Graph, start: int, tb: TieBreak = MIN_INDEX) -> Ordering:
     """Partition-refinement LBFS from ``start`` with tie-break ``tb``."""
     if not (0 <= start < g.n):
         raise GraphError(f"start vertex out of range: {start}")
-    return Ordering._trusted(*_refine(g, start, _prior(tb, g.n)))
+    return _refine(g, start, _prior(tb, g.n))
 
 
 def lbfs_naive(g: Graph, start: int, tb: TieBreak = MIN_INDEX) -> Ordering:
@@ -285,7 +262,7 @@ def lbfs_naive(g: Graph, start: int, tb: TieBreak = MIN_INDEX) -> Ordering:
     if not (0 <= start < g.n):
         raise GraphError(f"start vertex out of range: {start}")
     n = g.n
-    prio = _priority(tb, n)
+    prio = _rightmost_priority(_prior(tb, n), n)
     labels: List[List[int]] = [[] for _ in range(n)]
     labels[start] = [n]
     unnumbered = set(range(n))
@@ -304,7 +281,7 @@ def lbfs_naive(g: Graph, start: int, tb: TieBreak = MIN_INDEX) -> Ordering:
 
 def lbfs_plus(g: Graph, prior: Ordering) -> Ordering:
     """LBFS started at the prior's last vertex, ties toward prior-rightmost."""
-    return Ordering._trusted(*_sweep(g, prior))
+    return _sweep(g, prior.seq)
 
 
 def lmpn(g: Graph, sigma: Ordering, y: int, z: int) -> Optional[int]:

@@ -50,9 +50,31 @@ class TestGraph6:
         with pytest.raises(FormatError):
             from_graph6("\x1fabc")
 
-    def test_rejects_large_n(self):
-        with pytest.raises(FormatError):
-            to_graph6(Graph(63))
+    def test_long_form_matches_networkx(self, rng):
+        # n >= 63 takes the "~" + 3-byte size prefix; 62 is the last short one
+        for n in (62, 63, 100, 300):
+            g = random_graph(n, 0.1, rng)
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(g.edges())
+            text = to_graph6(g)
+            assert text.startswith("~") == (n >= 63)
+            assert text == nx.to_graph6_bytes(h, header=False).decode().strip()
+            assert from_graph6(text) == g
+
+    def test_six_byte_size_prefix(self):
+        # "~~" and six bytes, as networkx reads it too
+        for text in ("~~?????@", "~~?????C]"):
+            h = nx.from_graph6_bytes(text.encode())
+            g = from_graph6(text)
+            assert g.n == h.number_of_nodes() and set(g.edges()) == set(h.edges())
+
+    def test_rejects_truncated_size_prefix(self):
+        for text in ("~", "~?", "~??", "~~", "~~?????", "~~~~"):
+            with pytest.raises(FormatError, match="truncated graph6 size prefix"):
+                from_graph6(text)
+        with pytest.raises(FormatError, match="size byte"):
+            from_graph6("~?\x1f?")
 
 
 class TestEdgeListText:

@@ -19,6 +19,7 @@ from lexsweep import (
     from_graph6,
     gen_interval,
     gen_poset_cocomp,
+    is_cocomparability,
     is_lbfs_ordering,
     is_umbrella_free,
     k_ladder,
@@ -31,6 +32,7 @@ from lexsweep import (
     sweep_sequence,
     theorem_check,
 )
+from lexsweep.classes import _random_cocomp_starts
 from lexsweep.lexcycle import _lbfs_orderings
 
 from conftest import all_graphs, complete, cycle, path, random_graph
@@ -38,7 +40,7 @@ from conftest import all_graphs, complete, cycle, path, random_graph
 
 class TestSweepEngine:
     def test_matches_naive_oracle(self, rng):
-        assert SweepEngine(Graph(0)).step(()) == ()
+        assert SweepEngine(Graph(0)).step(()) == Ordering(())
         for t in range(200):
             n = 1 if t == 0 else rng.randrange(1, 20)
             g = random_graph(n, rng.random(), rng)
@@ -46,9 +48,10 @@ class TestSweepEngine:
             perm = list(range(g.n))
             rng.shuffle(perm)
             prior = Ordering(perm)
-            expect = lbfs_naive(g, prior.last(), PriorRightmost(prior)).seq
-            assert eng.step(prior.seq) == expect
-            assert eng.cache[prior.seq] == expect
+            expect = lbfs_naive(g, prior.last(), PriorRightmost(prior))
+            step = eng.step(prior.seq)
+            assert (step.seq, step.pos) == (expect.seq, expect.pos)
+            assert eng.cache[prior.seq] is step
 
     def test_start_out_of_range(self):
         # the sweep starts at the prior's last entry; the C kernel would
@@ -63,6 +66,51 @@ class TestSweepEngine:
         with pytest.raises(OrderingError):
             eng.step(prior)
         assert eng.cache == {}
+
+    def test_contract_read_by_perfbench_tracing(self, monkeypatch):
+        # perfbench/tracing.py wraps SweepEngine.step on the class and
+        # counts a step that grew `cache` as a computed sweep
+        assert callable(SweepEngine.__dict__["step"])
+        eng = SweepEngine(path(4))
+        cur, seen = (0, 1, 2, 3), set()
+        for _ in range(5):  # the orbit (3, 2, 1, 0), (0, 1, 2, 3), ...
+            before = len(eng.cache)
+            out = eng.step(cur)
+            assert len(eng.cache) == before + (cur not in seen)
+            assert eng.cache[cur] is out
+            seen.add(cur)
+            cur = out.seq
+        assert len(eng.cache) == 2
+        calls = []
+        real_step = SweepEngine.step
+
+        def step(self, prior):
+            calls.append(prior)
+            return real_step(self, prior)
+
+        monkeypatch.setattr(SweepEngine, "step", step)
+        assert theorem_check(path(4), Ordering((0, 1, 2, 3))).verdict == "pass"
+        assert len(calls) == 4
+
+    def test_sweep_results_are_not_checked_again(self, monkeypatch):
+        # a sweep's Ordering is trusted as it comes: no consumer rebuilds it
+        # with the checked constructor
+        sample = gen_interval(30, seed=2)
+        g, pi = sample.graph, sample.witness_ordering
+        built = []
+        real_init = Ordering.__init__
+
+        def init(self, seq):
+            built.append(seq)
+            real_init(self, seq)
+
+        monkeypatch.setattr(Ordering, "__init__", init)
+        assert len(sweep_sequence(g, pi, 4)) == 4
+        assert detect_orbit(g, pi).period == 2
+        assert theorem_check(g, pi).verdict == "pass"
+        assert is_cocomparability(g)[0]
+        assert len(_random_cocomp_starts(g, 3, random.Random(0))) == 3
+        assert built == []
 
     def test_orbit_and_sequence_starts_are_checked_by_the_step(self):
         for run in (lambda pi: detect_orbit(path(3), pi),
@@ -109,6 +157,13 @@ class TestDetectOrbit:
             res = detect_orbit(g, Ordering(perm))
             assert lbfs_plus(g, res.cycle[-1]) == res.cycle[0]
             assert len(set(o.seq for o in res.cycle)) == res.period
+
+    def test_engine_of_another_graph_is_refused(self):
+        eng = SweepEngine(path(4))
+        with pytest.raises(ValueError, match="another graph"):
+            detect_orbit(cycle(4), Ordering((0, 1, 2, 3)), engine=eng)
+        assert eng.cache == {}
+        assert detect_orbit(eng.g, Ordering((0, 1, 2, 3)), engine=eng).period == 2
 
     def test_budget_error_carries_trace(self):
         with pytest.raises(OrbitBudgetError) as exc:
@@ -187,7 +242,7 @@ class TestLexCycleExact:
                 orderings = _lbfs_orderings(g)
                 assert orderings == sorted(set(orderings)), g.adj
                 eng = SweepEngine(g)
-                image = {eng.step(p) for p in permutations(range(n))}
+                image = {eng.step(p).seq for p in permutations(range(n))}
                 assert set(orderings) == image, g.adj
                 assert all(lbfs_reachable(g, Ordering(s)) for s in orderings)
 

@@ -117,8 +117,8 @@ def assert_backends_match_oracle(g, s, tb):
     # called directly as well
     want = lbfs_naive(g, s, tb)
     assert lbfs(g, s, tb) == want
-    core = search._lbfs_core(g.adj, g.n, s, search._priority(tb, g.n))
-    assert tuple(core) == want.seq
+    core = search._lbfs_core(g.adj, g.n, s, search._prior(tb, g.n))
+    assert core == (want.seq, want.pos)
 
 
 class TestEngineEquivalence:
@@ -146,7 +146,8 @@ class TestEngineEquivalence:
                 assert_backends_match_oracle(g, s, tb)
             # LBFS+ sweeps of the lexcycle engine take the same path
             plus = lbfs_naive(g, perm[-1], PriorRightmost(Ordering(perm)))
-            assert SweepEngine(g).step(tuple(perm)) == plus.seq
+            step = SweepEngine(g).step(tuple(perm))
+            assert (step.seq, step.pos) == (plus.seq, plus.pos)
 
     @needs_cc
     def test_kernel_loads(self):
@@ -177,8 +178,17 @@ class TestEngineEquivalence:
 
     @needs_cc
     def test_concurrent_builds_leave_one_library(self, tmp_path):
-        # worker processes that start together each build into an empty
-        # cache; every one must load a whole library
+        # worker processes that start together each build into a cache that
+        # holds only stale libraries; every one must load a whole library,
+        # and the build removes the stale ones of this interpreter's ABI
+        soabi = sysconfig.get_config_var("SOABI")
+        cache = tmp_path / "lexsweep"
+        cache.mkdir()
+        stale = [f"lbfs_kernel-{soabi}-0123456789abcdef.so",
+                 "lbfs_kernel-0123456789abcdef.so"]
+        other = "lbfs_kernel-cpython-399-other-0123456789abcdef.so"
+        for name in stale + [other]:
+            (cache / name).write_bytes(b"stale")
         src_root = os.path.dirname(os.path.dirname(search.__file__))
         env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
         env["PYTHONPATH"] = os.pathsep.join(
@@ -192,8 +202,11 @@ class TestEngineEquivalence:
         ]
         outs = [p.communicate(timeout=120)[0].strip() for p in procs]
         assert outs == ["c"] * 4
-        built = sorted(f.name for f in (tmp_path / "lexsweep").iterdir())
-        assert len(built) == 1 and built[0].endswith(".so"), built
+        left = sorted(f.name for f in cache.iterdir())
+        assert other in left and not set(stale) & set(left), left
+        built = [name for name in left if name != other]
+        assert len(built) == 1, left
+        assert built[0].startswith(f"lbfs_kernel-{soabi}-") and built[0].endswith(".so")
 
     def test_determinism(self, rng):
         g = random_graph(30, 0.2, rng)
@@ -312,8 +325,9 @@ class TestKernelBoundary:
             out = []
             for i, (g, p) in enumerate(cases):
                 plus = lbfs_plus(g, p)
+                step = SweepEngine(g).step(p.seq)
                 seeded = lbfs(g, p.last(), Seeded(i)) if g.n else plus
-                out.append(((plus.seq, plus.pos), SweepEngine(g).step(p.seq),
+                out.append(((plus.seq, plus.pos), (step.seq, step.pos),
                             (seeded.seq, seeded.pos)))
             return out
 
@@ -325,7 +339,7 @@ class TestKernelBoundary:
             fallback = sweeps()
         assert kernel == fallback
         for (seq, pos), step, _ in kernel:
-            assert type(step) is tuple and type(pos) is tuple and seq == step
+            assert type(seq) is tuple and type(pos) is tuple and (seq, pos) == step
             # the trusted pos is the one the checked constructor builds
             assert pos == Ordering(seq).pos
 
