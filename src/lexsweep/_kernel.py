@@ -1,23 +1,31 @@
 """The compiled kernel: `_lbfs_kernel.c`, built on first use and loaded
 with ctypes.
 
-The library holds two functions, which share one packed graph format,
+The library holds three functions, which share one packed graph format,
 the CSR: a `bytes` object of native int32 words, the row offsets
-``off[0..n]`` and then the sorted rows (2m words), row v at words
-``n + 1 + off[v]`` up to ``n + 1 + off[v + 1]``.
+``off[0..n]``, the order ``ord[0..n-1]`` and then the sorted rows (2m
+words). The rows are numbered by internal ids: ``ord[q]`` is the vertex
+at internal id q, row q sits at words ``2n + 1 + off[q]`` up to
+``2n + 1 + off[q + 1]`` and holds internal ids.
 
 - ``graph_adj(n, edges)``, called by `Graph.__init__` on a list of edges,
   returns ``(adj, csr)``: `Graph.adj` (sorted rows of shared int objects)
-  and `Graph._csr`. It returns None at the first edge that is not a tuple
-  or list of two ints, and the index of the first edge out of range or a
-  self-loop. It raises ValueError unless n < 2**31 and 2m < 2**31.
+  and `Graph._csr`, its order the identity. It returns None at the first
+  edge that is not a tuple or list of two ints, and the index of the first
+  edge out of range or a self-loop. It raises ValueError unless n < 2**31
+  and 2m < 2**31.
 - ``lbfs_refine(csr, start, prior)``, called by `search._refine` for every
   LBFS, runs LBFS from ``start`` with ties toward the vertex rightmost in
   ``prior`` (a tuple or list). It returns ``(seq, pos)``, the visit order
   and its inverse, or None when ``prior`` is not a permutation of the
-  vertices, and raises on any other malformed input. `search._lbfs_core`
-  keeps the same contract on ``Graph.adj``, and `search._refine` wraps
-  either pair as a trusted `Ordering`.
+  vertices, and raises on any other malformed input, an order that is not
+  a permutation included. Its arguments and results are in vertex ids, so
+  the layout never shows. `search._lbfs_core` keeps the same contract on
+  ``Graph.adj``, and `search._refine` wraps either pair as a trusted
+  `Ordering`.
+- ``csr_relayout(csr, seq)``, called by `search._refine` once per graph,
+  after its first kernel sweep and with that sweep's ``seq``, returns the
+  same rows laid out in the order ``seq``: its order section is ``seq``.
 
 The library is built once per source, compiler and interpreter, as
 ``lbfs_kernel-<SOABI>-<hash>.so`` in ``$XDG_CACHE_HOME/lexsweep``; a
@@ -61,8 +69,9 @@ def _kernel():
     except OSError as exc:
         return None, f"the C kernel could not be built or loaded: {exc}"
     lib.lbfs_refine.argtypes = [ctypes.py_object] * 3
-    lib.graph_adj.argtypes = [ctypes.py_object, ctypes.py_object]
-    lib.lbfs_refine.restype = lib.graph_adj.restype = ctypes.py_object
+    lib.graph_adj.argtypes = lib.csr_relayout.argtypes = [ctypes.py_object] * 2
+    for fn in (lib.lbfs_refine, lib.graph_adj, lib.csr_relayout):
+        fn.restype = ctypes.py_object
     return lib, None
 
 

@@ -191,6 +191,13 @@ def cocomp_oracle(g: Graph) -> bool:
     is adjacent to neither b nor c, orienting ab as a->b forces a->c, and
     b->a forces c->a. Union-find over the arcs of H (a->b is a * n + b)
     closes that relation into the implication classes: O(n m) unions.
+
+    The union-find keeps n^2 slots, one per ordered pair of vertices, as a
+    list of Python ints: about 6 MB at n = 400, and growing as n^2 (600 MB
+    at n = 4000). Its time grows at least as fast: one call on a sparse
+    400-vertex cocomparability graph takes about 9 s (2 cores, Python
+    3.11). So it is practical up to about n = 400; larger graphs have only
+    the repeated-sweep `is_cocomparability`.
     """
     n = g.n
     masks = [0] * n

@@ -10,6 +10,14 @@ alone in `_python_adj`, which gives identical output. The packed rows
 hold int32 ids and offsets, so `Graph.__init__` refuses, before building
 anything, 2**31 vertices or more, or 2**30 edges or more (repeats
 included).
+
+The packed rows are built in vertex order and laid out once more, in the
+order of the graph's first kernel LBFS, by `search._refine`, which then
+replaces ``_csr`` and sets ``_relaid``. That changes neither the graph nor
+any sweep's output. The replacement is one attribute store, so under the
+GIL a concurrent sweep reads the old rows or the new, each whole; two
+threads that sweep a fresh graph at once may both lay it out, to equal
+rows.
 """
 from __future__ import annotations
 
@@ -36,9 +44,10 @@ _INT32_LIMIT = 2**31
 
 class Graph:
     """A simple undirected graph. ``_csr`` holds the rows packed for the C
-    LBFS kernel, or None when the graph was built without the kernel."""
+    LBFS kernel, or None when the graph was built without the kernel;
+    ``_relaid`` says whether they have had their one re-layout."""
 
-    __slots__ = ("n", "m", "_adj", "_adjsets", "_csr")
+    __slots__ = ("n", "m", "_adj", "_adjsets", "_csr", "_relaid")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = ()) -> None:
         if n < 0:
@@ -70,6 +79,7 @@ class Graph:
         self.n = n
         self._adj = adj
         self._csr = csr
+        self._relaid = False
         self.m = sum(map(len, adj)) // 2
         self._adjsets = None
 

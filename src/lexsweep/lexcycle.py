@@ -228,15 +228,22 @@ def _lbfs_orderings(g: Graph) -> List[Tuple[int, ...]]:
 
 
 def lexcycle_exact(g: Graph) -> LexCycleEstimate:
-    """Maximum terminal-cycle length over all n! initial orderings.
+    """LexCycle(g): the maximum terminal-cycle length of the LBFS+ map.
 
-    Only the LBFS orderings of g are walked as starts: any start pi ends in
-    the terminal cycle of its image f(pi), which is an LBFS ordering, so
-    they reach every terminal cycle. ``starts_examined`` counts them, and
+    The starts walked are the LBFS orderings of g, not all n! orderings:
+    any start pi ends in the terminal cycle of its image f(pi), which is an
+    LBFS ordering, so they reach every terminal cycle and the maximum is
+    the one over all n! starts. ``starts_examined`` counts them, and
     ``argmax_start`` is the lexicographically first one whose orbit reaches
     a longest cycle. Enumerating the orderings and walking their orbits
     both cost O(n^2) per ordering, so `SizeGuardError` is raised once
     n^2 x orderings passes 8^2 x 8! (every graph with n <= 8 fits).
+
+    The paper proves LexCycle = 2 on interval graphs and on p2p3bar-free
+    cocomparability graphs. Elsewhere the value can exceed 2, on
+    cocomparability graphs too: it is 4 on the 9-vertex cocomparability
+    graph ``HYYL{Wz`` (graph6), which contains p2p3bar
+    (tests/data/lexcycle_gt2.json).
     """
     return _max_period(g, _lbfs_orderings(g), "exact")
 

@@ -3,15 +3,22 @@
 There is one LBFS, an ordered partition refinement (linear-time up to
 tie-break scans), with two engines that share one contract,
 ``(rows, start, prior) -> (seq, pos)``: the visit order of an LBFS from
-``start`` and its inverse. The C kernel (`_lbfs_kernel.c`, compiled on
-first use) reads the graph's packed rows, ``Graph._csr``; `_lbfs_core`,
+``start`` and its inverse, in vertex ids. The C kernel (`_lbfs_kernel.c`,
+compiled on first use) reads the graph's packed rows, ``Graph._csr``, and
+works on their internal ids, translating at its boundary; `_lbfs_core`,
 the pure-Python fallback, reads ``Graph.adj``. `_refine` runs one of them
 and is the one place that wraps the pair, as a trusted `Ordering`: both
 engines build a permutation and its inverse by construction, so it skips
-the O(n) check that the public `Ordering(seq)` makes. The LBFS+ map (LBFS
-from the prior's last vertex) is `_sweep`: `lbfs_plus` calls it on an
-`Ordering`'s sequence, `lexcycle.SweepEngine` on raw tuples, and the
-``seq`` of its result is the next sweep's prior as it stands.
+the O(n) check that the public `Ordering(seq)` makes. After a graph's
+first kernel sweep, `_refine` also lays its packed rows out once more, in
+that sweep's order (`csr_relayout`): a graph is swept many times, and in
+LBFS order the neighbours of an interval or cocomparability graph's
+vertices lie close together, so the later sweeps read memory that is
+already in cache. Ties go by prior position alone, so no layout changes
+a sweep's output. The LBFS+ map (LBFS from the prior's last vertex) is
+`_sweep`: `lbfs_plus` calls it on an `Ordering`'s sequence,
+`lexcycle.SweepEngine` on raw tuples, and the ``seq`` of its result is
+the next sweep's prior as it stands.
 
 The prior is the only tie-break form: within a set of tied vertices the
 one rightmost in it wins. `_prior` turns each `TieBreak` into one;
@@ -222,9 +229,10 @@ def _refine(g: Graph, start: int, prior: Sequence[int]) -> Ordering:
     """LBFS from ``start``, ties toward the vertex rightmost in ``prior`` (a
     tuple or list). It runs the C kernel on ``g._csr`` if the kernel loads,
     else `_lbfs_core`, and wraps their ``(seq, pos)`` as an `Ordering`
-    without the check of `Ordering.__init__`. Raises `OrderingError` unless
-    prior is a permutation of the vertices; ``start`` must be a vertex when
-    there is one."""
+    without the check of `Ordering.__init__`. The first kernel sweep of g
+    replaces ``g._csr`` by its rows laid out in that sweep's order. Raises
+    `OrderingError` unless prior is a permutation of the vertices;
+    ``start`` must be a vertex when there is one."""
     n = g.n
     lib, reason = _kernel()
     if len(prior) != n:
@@ -233,6 +241,9 @@ def _refine(g: Graph, start: int, prior: Sequence[int]) -> Ordering:
         out = (), ()
     elif lib is not None:
         out = lib.lbfs_refine(g._csr, start, prior)
+        if out is not None and not g._relaid:
+            g._csr = lib.csr_relayout(g._csr, out[0])
+            g._relaid = True
     else:
         _warn_fallback(reason)
         out = _lbfs_core(g.adj, n, start, prior)

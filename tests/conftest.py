@@ -47,3 +47,20 @@ def cycle(k):
 
 def complete(k):
     return Graph(k, all_pairs(k))
+
+
+def decode_csr(csr, n):
+    """The rows, in vertex ids, that a packed `Graph._csr` holds, checking
+    its layout: offsets that start at 0 and never decrease, an order
+    section that is a permutation, and rows sorted in internal ids."""
+    words = memoryview(csr).cast("i")
+    off, order, nbrs = words[:n + 1], words[n + 1:2 * n + 1], words[2 * n + 1:]
+    assert off[0] == 0 and off[n] == len(nbrs)
+    assert all(off[q] <= off[q + 1] for q in range(n))
+    assert sorted(order) == list(range(n))
+    rows = [None] * n
+    for q in range(n):
+        row = list(nbrs[off[q]:off[q + 1]])
+        assert row == sorted(set(row))
+        rows[order[q]] = tuple(sorted(order[w] for w in row))
+    return tuple(rows)

@@ -21,7 +21,8 @@ from lexsweep import (
 from lexsweep._kernel import _kernel
 
 from conftest import (
-    all_graphs, all_pairs, complete, cycle, graph_from_mask, needs_cc, path, random_graph,
+    all_graphs, all_pairs, complete, cycle, decode_csr, graph_from_mask, needs_cc, path,
+    random_graph,
 )
 
 
@@ -67,17 +68,11 @@ def fallback_graph(n, edges):
         return Graph(n, edges)
 
 
-def decode_csr(csr, n):
-    """The rows that a packed `Graph._csr` holds, checking its layout."""
-    words = memoryview(csr).cast("i")
-    off, nbrs = words[:n + 1], words[n + 1:]
-    assert off[0] == 0 and off[n] == len(nbrs)
-    assert all(off[v] <= off[v + 1] for v in range(n))
-    return tuple(tuple(nbrs[off[v]:off[v + 1]]) for v in range(n))
-
-
 def assert_csr_is_adj(g):
+    # a graph is built with its rows in vertex order: the order section is
+    # the identity
     assert type(g._csr) is bytes and decode_csr(g._csr, g.n) == g.adj
+    assert list(memoryview(g._csr).cast("i")[g.n + 1:2 * g.n + 1]) == list(range(g.n))
 
 
 def assert_builds_agree(n, make_edges):
@@ -108,8 +103,10 @@ class TestCBuilder:
         adj, csr = lib.graph_adj(4, [(0, 1), (2, 1), (1, 0), [3, 2]])
         assert adj == ((1,), (0, 2), (1, 3), (2,))
         assert adj[0][0] is adj[2][0]
-        # offsets 0 1 3 5 6, then the rows; the repeated edge is dropped
-        assert list(memoryview(csr).cast("i")) == [0, 1, 3, 5, 6, 1, 0, 2, 1, 3, 2]
+        # offsets 0 1 3 5 6, the identity order, then the rows; the
+        # repeated edge is dropped
+        assert list(memoryview(csr).cast("i")) == [0, 1, 3, 5, 6, 0, 1, 2, 3,
+                                                   1, 0, 2, 1, 3, 2]
 
     def test_every_labeled_graph_up_to_5(self):
         for n in range(6):

@@ -15,9 +15,11 @@ from lexsweep import (
     SweepEngine,
     check_c4_property,
     classify,
+    cocomp_oracle,
     detect_orbit,
     from_graph6,
     gen_interval,
+    induced_subgraph,
     gen_poset_cocomp,
     is_cocomparability,
     is_lbfs_ordering,
@@ -29,11 +31,13 @@ from lexsweep import (
     lexcycle_exact,
     lexcycle_sampled,
     named,
+    pattern_free,
     sweep_sequence,
     theorem_check,
 )
 from lexsweep.classes import _random_cocomp_starts
 from lexsweep.lexcycle import _lbfs_orderings
+from lexsweep.search import kernel_backend
 
 from conftest import all_graphs, complete, cycle, path, random_graph
 
@@ -315,3 +319,43 @@ class TestTheoremCheck:
             assert list(rep.diff_pair) == case["diff_pair"]
             assert classify(g) == {"cocomparability"}
             assert lexcycle_exact(g).value == 2
+
+
+def _naive_plus(g, prior):
+    return lbfs_naive(g, prior[-1], PriorRightmost(Ordering(prior))).seq
+
+
+def test_lexcycle_above_2_fixture_replays():
+    # graphs whose LexCycle exceeds 2, each with a start and the terminal
+    # cycle its orbit enters: H is a cocomparability graph that contains
+    # p2p3bar, so the paper's theorem does not cover it; A is p2p3bar-free
+    # but not cocomparability; B has a cycle of 10
+    data = Path(__file__).parent / "data" / "lexcycle_gt2.json"
+    cases = json.loads(data.read_text())
+    assert [c["name"] for c in cases] == ["H", "A", "B"]
+    for case in cases:
+        g = from_graph6(case["graph6"])
+        cyc = [tuple(s) for s in case["cycle"]]
+        assert len(set(cyc)) == len(cyc) == case["lexcycle"] > 2
+        # the orbit of start reaches cyc[0] first, and the naive LBFS+ and
+        # the kernel, on rows re-laid by the first sweep, both go round it
+        orbit = [tuple(case["start"])]
+        while orbit[-1] not in cyc:
+            orbit.append(_naive_plus(g, orbit[-1]))
+            assert len(orbit) <= g.n + 1
+        assert orbit[-1] == cyc[0]
+        for i, s in enumerate(cyc):
+            assert _naive_plus(g, s) == cyc[(i + 1) % len(cyc)]
+        assert not g._relaid
+        for i, s in enumerate(cyc * 2):
+            assert lbfs_plus(g, Ordering(s)).seq == cyc[(i + 1) % len(cyc)]
+        assert g._relaid == (kernel_backend() == "c")
+        assert lexcycle_exact(g).value == case["lexcycle"]
+    h = from_graph6(cases[0]["graph6"])
+    assert cocomp_oracle(h) and not pattern_free(h, "p2p3bar")[0]
+    ok, witness = is_cocomparability(h)
+    assert ok and is_umbrella_free(h, witness).ok
+    # every proper induced subgraph of H with 8 vertices has LexCycle 2
+    for v in range(h.n):
+        sub, _ = induced_subgraph(h, [u for u in range(h.n) if u != v])
+        assert lexcycle_exact(sub).value == 2

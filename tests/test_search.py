@@ -30,7 +30,9 @@ from lexsweep import (
 )
 from lexsweep import _kernel, search
 
-from conftest import all_graphs, complete, cycle, needs_cc, path, random_graph
+from conftest import (
+    all_graphs, complete, cycle, decode_csr, needs_cc, path, random_graph,
+)
 
 
 class TestOrdering:
@@ -215,9 +217,12 @@ class TestEngineEquivalence:
         assert a == b
 
 
-def pack(off, nbrs):
-    """A CSR as `Graph._csr` packs it: int32 offsets, then the rows."""
-    return array("i", off + nbrs).tobytes()
+def pack(off, nbrs, order=None):
+    """A CSR as `Graph._csr` packs it: int32 offsets, the order section
+    (by default the identity), then the rows."""
+    if order is None:
+        order = list(range(len(off) - 1))
+    return array("i", off + order + nbrs).tobytes()
 
 
 P3 = path(3)._csr
@@ -254,6 +259,12 @@ class TestKernelBoundary:
             (pack([0, 1, 3], [1, 0, 5]), 0, [1, 0], ValueError),
             (pack([0, 1, 3], [1, 0, -1]), 0, [1, 0], ValueError),
             (pack([0, 100, 101], [1] * 100 + [0]), 0, [1, 0], ValueError),
+            (pack([0, 1, 2], [1, 0], [0, 2]), 0, [1, 0], ValueError),
+            (pack([0, 1, 2], [1, 0], [-1, 0]), 0, [1, 0], ValueError),
+            (pack([0, 1, 2], [1, 0], [1, 1]), 0, [1, 0], ValueError),
+            (pack([0, 1, 2], [1, 0], [0]), 0, [1, 0], ValueError),
+            (pack([0, 1, 2], [1, 0], [0, 1, 2]), 0, [1, 0], ValueError),
+            (array("i", [0, 1, 3, 4, 1, 0, 2, 1]).tobytes(), 0, MIN3, ValueError),
             (bytearray(P3), 0, MIN3, TypeError),
             (path(3).adj, 0, MIN3, TypeError),
             (list(path(3).adj), 0, MIN3, TypeError),
@@ -262,8 +273,9 @@ class TestKernelBoundary:
              "float-prio", "start-n", "start-negative", "start-huge", "start-str",
              "empty", "csr-short", "csr-long", "csr-ragged", "offset-not-0",
              "row-past-end", "row-negative", "offset-decreasing", "neighbour-n",
-             "neighbour-negative", "duplicate-neighbour", "bytearray-csr",
-             "tuple-adj", "list-adj"],
+             "neighbour-negative", "duplicate-neighbour", "order-n",
+             "order-negative", "order-repeated", "order-short", "order-long",
+             "no-order", "bytearray-csr", "tuple-adj", "list-adj"],
     )
     def test_malformed_input_raises(self, csr, start, prior, error):
         # error None: a prior entry that is not an int, which the kernel
@@ -311,6 +323,103 @@ class TestKernelBoundary:
             assert all(seq[pos[v]] == v for v in range(n))
             # one int object per vertex, shared by the two tuples
             assert all(seq[pos[v]] is pos[seq[v]] for v in range(n))
+
+    def test_reads_the_order_section(self):
+        # P3 laid out as 2, 0, 1: internal 0 is vertex 2, its one neighbour
+        # vertex 1 is internal 2
+        lib, reason = search._kernel()
+        assert lib is not None, reason
+        csr = pack([0, 1, 2, 4], [2, 2, 0, 1], [2, 0, 1])
+        assert decode_csr(csr, 3) == path(3).adj
+        assert lib.lbfs_refine(csr, 0, MIN3) == lib.lbfs_refine(P3, 0, MIN3) == (
+            (0, 1, 2), (0, 1, 2))
+        assert lib.lbfs_refine(csr, 2, [0, 1, 2]) == ((2, 1, 0), (2, 1, 0))
+        assert lib.csr_relayout(P3, (2, 0, 1)) == csr
+        assert lib.csr_relayout(csr, (0, 1, 2)) == P3
+
+    @pytest.mark.parametrize(
+        "csr, seq, error",
+        [
+            (P3, [0, 1, 2], TypeError),
+            (P3, (0, "1", 2), TypeError),
+            (P3, (0, 1.0, 2), TypeError),
+            (P3, (0, 1), ValueError),
+            (P3, (0, 1, 2, 3), ValueError),
+            (P3, (0, 1, 1), ValueError),
+            (P3, (0, 1, 3), ValueError),
+            (P3, (-1, 0, 1), ValueError),
+            (P3, (0, 2**70, 1), ValueError),
+            (bytearray(P3), (0, 1, 2), TypeError),
+            (P3[:-4], (0, 1, 2), ValueError),
+            (pack([0, 2, 1, 2], [1, 2]), (0, 1, 2), ValueError),
+            (pack([0, 1, 2], [1, 0], [1, 1]), (0, 1), ValueError),
+            (pack([0, 1, 2], [1, 5]), (0, 1), ValueError),
+            (pack([0, 1, 2], [1, -1]), (0, 1), ValueError),
+            (pack([0, 1, 1], [1]), (0, 1), ValueError),
+        ],
+        ids=["list-seq", "str-entry", "float-entry", "seq-short", "seq-long",
+             "seq-repeated", "seq-n", "seq-negative", "seq-huge", "bytearray-csr",
+             "csr-short", "offset-decreasing", "order-repeated", "neighbour-n",
+             "neighbour-negative", "asymmetric-rows"],
+    )
+    def test_relayout_malformed_input_raises(self, csr, seq, error):
+        lib, reason = search._kernel()
+        assert lib is not None, reason
+        with pytest.raises(error):
+            lib.csr_relayout(csr, seq)
+
+    def test_layout_does_not_change_a_sweep(self, rng):
+        # ties go by prior position alone, so no layout of the rows changes
+        # a sweep: each graph is laid out in two random orders in turn, and
+        # every layout gives the naive LBFS's (seq, pos)
+        lib, reason = search._kernel()
+        assert lib is not None, reason
+        graphs = [g for n in range(1, 6) for g in all_graphs(n)]
+        graphs += [random_graph(rng.randrange(1, 41), rng.random() * 0.5, rng)
+                   for _ in range(200)]
+        for g in graphs:
+            n = g.n
+            csrs = [g._csr]
+            for _ in range(2):
+                order = list(range(n))
+                rng.shuffle(order)
+                csrs.append(lib.csr_relayout(csrs[-1], tuple(order)))
+                assert decode_csr(csrs[-1], n) == g.adj
+            prior = list(range(n))
+            rng.shuffle(prior)
+            for s in range(n) if n <= 5 else rng.sample(range(n), 3):
+                want = lbfs_naive(g, s, PriorRightmost(Ordering(prior)))
+                for csr in csrs:
+                    assert lib.lbfs_refine(csr, s, prior) == (want.seq, want.pos)
+
+    def test_rows_relaid_once_at_the_first_sweep(self, rng, monkeypatch):
+        g = random_graph(30, 0.2, rng)
+        built = g._csr
+        assert not g._relaid
+        # a prior that is not a permutation runs no sweep
+        with pytest.raises(OrderingError):
+            lbfs_plus(g, Ordering(range(29)))
+        assert g._csr is built and not g._relaid
+        sigma = lbfs(g, 3, Seeded(1))
+        relaid = g._csr
+        assert g._relaid and relaid is not built
+        # laid out in the order of that sweep, and still the same rows
+        assert list(memoryview(relaid).cast("i")[g.n + 1:2 * g.n + 1]) == list(sigma.seq)
+        assert decode_csr(relaid, g.n) == g.adj
+        engine = SweepEngine(g)
+        prior = sigma
+        for s in range(g.n):
+            assert lbfs(g, s) == lbfs_naive(g, s)
+            prior = lbfs_plus(g, prior)
+            assert engine.step(prior.seq) == lbfs_plus(g, prior)
+        assert g._csr is relaid
+        # the pure-Python fallback leaves the rows alone
+        h = random_graph(30, 0.2, rng)
+        monkeypatch.setattr(search, "_kernel", lambda: (None, "forced off"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            lbfs(h, 0)
+        assert not h._relaid
 
     def test_sweeps_match_the_fallback(self, rng, monkeypatch):
         cases = []
